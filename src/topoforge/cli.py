@@ -17,11 +17,11 @@ from .deploy import (
     GenerationOptions,
     plan_deployment,
 )
-from .errors import OptionConflictError, TopoforgeError, ValidationError
+from .errors import OptionConflictError, TopoforgeError
 from .k8s import emit_k8s
 from .maxrate import measure_max_rate
 from .parser import parse_config
-from .sim import ModelParams, Workload, build_sim, run
+from .sim import Workload, build_sim, run
 from .validation import validate
 
 COMPOSE_FILE = "compose.yml"
@@ -106,7 +106,6 @@ def _write(path: Path, data):
 
 def cmd_generate(args) -> int:
     opts = _options(args)
-    opts.check()
     topo = _load(args)
     np, plan = plan_deployment(topo, opts)
     out = Path(args.output)
@@ -216,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except OptionConflictError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, TopoforgeError) as exc:
+    except TopoforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

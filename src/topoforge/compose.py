@@ -6,25 +6,15 @@ import yaml
 
 from .deploy import (
     CONFIG_MOUNT,
-    ROUTER_COMMAND,
-    SERVICE_COMMAND,
     TIMER_MOUNT,
     ContainerSpec,
     DeploymentPlan,
+    main_command,
+    setup_script,
 )
 
 CONFIG_DIR = "configs"
 TIMER_DIR = "timers"
-
-
-def startup_script(c: ContainerSpec) -> str:
-    """Shell fragment: apply setup commands, launch timers, exec the main process."""
-    main = SERVICE_COMMAND if c.role == "service" else ROUTER_COMMAND
-    lines = list(c.setup)
-    if c.timer_script:
-        lines.append(f"(sh {TIMER_MOUNT} &)")
-    lines.append(f"exec {main}")
-    return "\n".join(["set -e"] + lines)
 
 
 def _service_entry(c: ContainerSpec, family: str) -> dict:
@@ -32,7 +22,7 @@ def _service_entry(c: ContainerSpec, family: str) -> dict:
     if c.cap_net_admin:
         entry["cap_add"] = ["NET_ADMIN"]
     if c.role != "collector":
-        entry["command"] = ["sh", "-c", startup_script(c)]
+        entry["command"] = ["sh", "-c", f"{setup_script(c)}\nexec {main_command(c)}"]
     volumes = []
     if c.role == "service":
         volumes.append(f"./{CONFIG_DIR}/{c.name}.json:{CONFIG_MOUNT}:ro")

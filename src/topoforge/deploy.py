@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import tls
 from .errors import OptionConflictError
-from .netplan import BRIDGE_NET, NetPlan, plan_network
+from .netplan import BRIDGE_NET, NetPlan, endpoint_addresses, plan_network
 from .validation import ValidatedTopology
 
 DEFAULT_SERVICE_IMAGE = "topoforge/service:latest"
@@ -44,7 +44,7 @@ class GenerationOptions:
     router_image: str = DEFAULT_ROUTER_IMAGE
     collector_image: str = DEFAULT_COLLECTOR_IMAGE
 
-    def check(self):
+    def __post_init__(self):
         if self.ioam and self.family != "v6":
             raise OptionConflictError("ioam requires the v6 address family")
         if self.family not in ("v4", "v6"):
@@ -85,6 +85,20 @@ class DeploymentPlan:
         raise KeyError(name)
 
 
+def main_command(c: ContainerSpec) -> str:
+    """Command line of the container's main process."""
+    return SERVICE_COMMAND if c.role == "service" else ROUTER_COMMAND
+
+
+def setup_script(c: ContainerSpec) -> str:
+    """Shell script applying the container's setup commands under ``set -e``,
+    then starting its timer script in the background."""
+    lines = ["set -e", *c.setup]
+    if c.timer_script:
+        lines.append(f"(sh {TIMER_MOUNT} &)")
+    return "\n".join(lines)
+
+
 def collector_endpoint(np: NetPlan, opts: GenerationOptions) -> str:
     addr = np.address(COLLECTOR_NAME, BRIDGE_NET)
     host = f"[{addr}]" if np.family == "v6" else addr
@@ -93,13 +107,9 @@ def collector_endpoint(np: NetPlan, opts: GenerationOptions) -> str:
 
 def _downstream_entry(t: ValidatedTopology, np: NetPlan, rp, opts: GenerationOptions) -> dict:
     terminal = rp.terminal
-    if len(rp.hops) == 2:
-        addr = np.address(terminal, BRIDGE_NET)
-    else:
-        addr = np.address(terminal, np.subnet_of_pair(rp.hops[-2], terminal).name)
     return {
         "name": terminal,
-        "address": addr,
+        "address": endpoint_addresses(np, rp.hops)[0],
         "port": t.services[terminal].port,
         "url": rp.url,
         "scheme": opts.scheme,
@@ -108,16 +118,10 @@ def _downstream_entry(t: ValidatedTopology, np: NetPlan, rp, opts: GenerationOpt
 
 def _runtime_config(t: ValidatedTopology, np: NetPlan, name: str, opts: GenerationOptions) -> dict:
     svc = t.services[name]
-    by_conn = {
-        (rp.entrypoint, rp.conn_index): rp
-        for rp in t.path_table
-        if rp.service == name
-    }
     endpoints = []
     for ep in svc.endpoints:
         downstreams = [
-            _downstream_entry(t, np, by_conn[(ep.entrypoint, ci)], opts)
-            for ci in range(len(ep.connections))
+            _downstream_entry(t, np, rp, opts) for rp in t.paths_by_service[name][ep.entrypoint]
         ]
         endpoints.append(
             {"entrypoint": ep.entrypoint, "psize": ep.psize, "downstreams": downstreams}
@@ -150,7 +154,6 @@ def _ioam_commands(np: NetPlan, name: str) -> list[str]:
 
 def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> DeploymentPlan:
     """One container per entity, plus an optional tracing collector."""
-    opts.check()
     if opts.tracing and COLLECTOR_NAME in t.entities:
         raise OptionConflictError(
             f"tracing reserves the container name '{COLLECTOR_NAME}'"
@@ -163,7 +166,7 @@ def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> De
         materials["certs/ca.crt"] = authority.cert_pem
 
     containers: list[ContainerSpec] = []
-    for name in t.ordered_entities():
+    for name in t.entities:
         role = "service" if name in t.services else "router"
         setup = list(np.setup.get(name, []))
         if opts.ioam:
@@ -184,7 +187,7 @@ def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> De
                 spec.environment["TRACE_COLLECTOR_ENDPOINT"] = collector_endpoint(np, opts)
             if authority is not None:
                 leaf = tls.generate_leaf(
-                    authority, name, [a for _n, a in np.attachments(name)], opts.seed
+                    authority, name, [a for _n, a in spec.attachments], opts.seed
                 )
                 materials[f"certs/{name}.crt"] = leaf.cert_pem
                 materials[f"certs/{name}.key"] = leaf.key_pem
@@ -222,7 +225,6 @@ def plan_deployment(
     With tracing enabled, every service and the collector join the shared
     bridge subnet so span export has a route.
     """
-    opts.check()
     extra: tuple[str, ...] = ()
     if opts.tracing:
         extra = tuple(t.services) + (COLLECTOR_NAME,)

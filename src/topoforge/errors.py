@@ -15,8 +15,8 @@ class ConfigSyntaxError(TopoforgeError):
         super().__init__(message)
 
 
-class SchemaError(TopoforgeError):
-    """The document is well-formed but violates the config schema."""
+class LocatedError(TopoforgeError):
+    """An error whose message is prefixed with the offending entity and field."""
 
     def __init__(self, message: str, entity: str | None = None, field: str | None = None):
         self.entity = entity
@@ -28,28 +28,21 @@ class SchemaError(TopoforgeError):
                 loc += f", field '{field}'"
             loc += ": "
         super().__init__(loc + message)
+
+
+class SchemaError(LocatedError):
+    """The document is well-formed but violates the config schema."""
 
 
 class PathSyntaxError(TopoforgeError):
     """A hop path string could not be parsed."""
 
 
-class ValidationError(TopoforgeError):
+class ValidationError(LocatedError):
     """Base class for topology validation failures.
 
     Every subclass message names the offending entity and config field.
     """
-
-    def __init__(self, message: str, entity: str | None = None, field: str | None = None):
-        self.entity = entity
-        self.field = field
-        loc = ""
-        if entity:
-            loc = f"entity '{entity}'"
-            if field:
-                loc += f", field '{field}'"
-            loc += ": "
-        super().__init__(loc + message)
 
 
 class UnknownEntityError(ValidationError):

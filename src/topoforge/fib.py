@@ -11,7 +11,7 @@ import ipaddress
 import re
 from dataclasses import dataclass, field
 
-from .netplan import NetPlan
+from .netplan import NetPlan, endpoint_addresses
 
 _ROUTE_RE = re.compile(r"^ip (?:-6 )?route add (\S+) via (\S+)$")
 
@@ -21,6 +21,7 @@ class Fib:
     # entity -> list of (prefix network, gateway address | None for on-link)
     tables: dict[str, list[tuple[object, object]]]
     addr_owner: dict[str, str]  # address -> entity
+    subnet_names: dict[object, str]  # subnet network -> subnet name
 
     def lookup(self, entity: str, dst: str):
         dst_ip = ipaddress.ip_address(dst)
@@ -35,10 +36,10 @@ class Fib:
 def build_fib(np: NetPlan) -> Fib:
     tables: dict[str, list] = {}
     addr_owner: dict[str, str] = {}
+    networks = {s.name: s.network for s in np.subnets}
     for (entity, subnet_name), addr in np.interfaces.items():
         addr_owner[addr] = entity
-        subnet = np.subnet_by_name(subnet_name)
-        tables.setdefault(entity, []).append((subnet.network, None))
+        tables.setdefault(entity, []).append((networks[subnet_name], None))
     for entity, cmds in np.setup.items():
         for cmd in cmds:
             m = _ROUTE_RE.match(cmd)
@@ -47,7 +48,8 @@ def build_fib(np: NetPlan) -> Fib:
             prefix = ipaddress.ip_network(m.group(1))
             via = ipaddress.ip_address(m.group(2))
             tables.setdefault(entity, []).append((prefix, via))
-    return Fib(tables=tables, addr_owner=addr_owner)
+    subnet_names = {network: name for name, network in networks.items()}
+    return Fib(tables=tables, addr_owner=addr_owner, subnet_names=subnet_names)
 
 
 class ForwardingError(Exception):
@@ -68,7 +70,7 @@ def forward(fib: Fib, np: NetPlan, src: str, dst_addr: str, max_hops: int = 64) 
         prefix, via = match
         if via is None:
             # on-link: deliver directly to the address owner on that subnet
-            if owner is None or (owner, _subnet_name_for(np, prefix)) not in np.interfaces:
+            if owner is None or (owner, fib.subnet_names[prefix]) not in np.interfaces:
                 raise ForwardingError(f"{dst_addr} not on-link at {current}")
             nxt = owner
         else:
@@ -78,13 +80,6 @@ def forward(fib: Fib, np: NetPlan, src: str, dst_addr: str, max_hops: int = 64) 
         visited.append(nxt)
         current = nxt
     raise ForwardingError(f"forwarding loop from {src} toward {dst_addr}: {visited}")
-
-
-def _subnet_name_for(np: NetPlan, network) -> str:
-    for s in np.subnets:
-        if s.network == network:
-            return s.name
-    raise KeyError(str(network))
 
 
 @dataclass
@@ -99,12 +94,7 @@ def check_path_fidelity(t, np: NetPlan) -> PathCheck:
     failures = []
     for rp in t.path_table:
         hops = rp.hops
-        if len(hops) == 2:
-            fwd_dst = np.address(hops[1], "bridge")
-            rev_dst = np.address(hops[0], "bridge")
-        else:
-            fwd_dst = np.address(hops[-1], np.subnet_of_pair(hops[-2], hops[-1]).name)
-            rev_dst = np.address(hops[0], np.subnet_of_pair(hops[0], hops[1]).name)
+        fwd_dst, rev_dst = endpoint_addresses(np, hops)
         try:
             got = forward(fib, np, hops[0], fwd_dst)
             if tuple(got) != hops:

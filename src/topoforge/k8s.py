@@ -9,18 +9,11 @@ impairments still apply to container egress interfaces.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import yaml
 
-from .deploy import (
-    CONFIG_MOUNT,
-    ROUTER_COMMAND,
-    SERVICE_COMMAND,
-    TIMER_MOUNT,
-    ContainerSpec,
-    DeploymentPlan,
-)
-from .compose import startup_script
+from .deploy import ContainerSpec, DeploymentPlan, main_command, setup_script
 
 CONFIG_MOUNT_DIR = "/etc/topoforge"
 
@@ -30,7 +23,8 @@ def _configmap(c: ContainerSpec) -> dict:
     if c.config_payload is not None:
         data["config.json"] = json.dumps(c.config_payload, indent=2, sort_keys=True)
     if c.setup:
-        data["setup.sh"] = "\n".join(["#!/bin/sh", "set -e"] + c.setup) + "\n"
+        # the timer script is a key of its own, so setup.sh does not start it
+        data["setup.sh"] = f"#!/bin/sh\n{setup_script(replace(c, timer_script=None))}\n"
     if c.timer_script:
         data["timers.sh"] = c.timer_script
     return {
@@ -44,8 +38,7 @@ def _configmap(c: ContainerSpec) -> dict:
 def _deployment(c: ContainerSpec) -> dict:
     container: dict = {"name": c.name, "image": c.image}
     if c.role != "collector":
-        main = SERVICE_COMMAND if c.role == "service" else ROUTER_COMMAND
-        container["command"] = ["sh", "-c", f"exec {main}"]
+        container["command"] = ["sh", "-c", f"exec {main_command(c)}"]
         container["volumeMounts"] = [{"name": "config", "mountPath": CONFIG_MOUNT_DIR}]
     if c.ports:
         container["ports"] = [{"containerPort": cont} for _host, cont in c.ports]
@@ -57,7 +50,7 @@ def _deployment(c: ContainerSpec) -> dict:
         container["securityContext"] = {"capabilities": {"add": ["NET_ADMIN"]}}
     if c.setup:
         container["lifecycle"] = {
-            "postStart": {"exec": {"command": ["sh", "-c", startup_setup(c)]}}
+            "postStart": {"exec": {"command": ["sh", "-c", setup_script(c)]}}
         }
     pod_spec: dict = {"containers": [container]}
     if container.get("volumeMounts"):
@@ -79,14 +72,6 @@ def _deployment(c: ContainerSpec) -> dict:
             },
         },
     }
-
-
-def startup_setup(c: ContainerSpec) -> str:
-    """postStart hook body: setup commands plus timer script launch."""
-    lines = ["set -e"] + list(c.setup)
-    if c.timer_script:
-        lines.append(f"(sh {CONFIG_MOUNT_DIR}/timers.sh &)")
-    return "\n".join(lines)
 
 
 def _service(c: ContainerSpec) -> dict:

@@ -31,6 +31,9 @@ TIMED_OPTIONS = (
     "reorder",
 )
 
+# Options given as percentages, in netem parameter order.
+PERCENT_OPTIONS = ("loss", "corrupt", "duplicate", "reorder")
+
 
 @dataclass(frozen=True)
 class Rate:

@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 from .errors import CapacityExceededError, ConflictingRouteError
 from .model import (
+    PERCENT_OPTIONS,
     ImpairmentSpec,
     TimerSpec,
     format_number,
     format_percent,
     format_us,
 )
-from .validation import ValidatedTopology, check_capacity, link_key
+from .validation import ValidatedTopology, check_plan_capacity, link_key
 
 DEFAULT_BASE_V4 = "10.0.0.0/8"
 DEFAULT_BASE_V6 = "fd00::/16"
@@ -52,36 +53,43 @@ class NetPlan:
     timer_scripts: dict[str, str] = field(default_factory=dict)
     # (entity, subnet name) -> in-container interface name
     iface_names: dict[tuple[str, str], str] = field(default_factory=dict)
+    # indexes over the above, filled by allocate_networks
+    _by_name: dict[str, Subnet] = field(default_factory=dict, repr=False)
+    _by_link: dict[tuple[str, str], Subnet] = field(default_factory=dict, repr=False)
+    # entity -> (subnet name, address) pairs, in subnet order
+    _attachments: dict[str, list[tuple[str, str]]] = field(default_factory=dict, repr=False)
 
     def subnet_by_name(self, name: str) -> Subnet:
-        for s in self.subnets:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self._by_name[name]
 
     def subnet_of_pair(self, a: str, b: str) -> Subnet:
         key = link_key(a, b)
-        for s in self.subnets:
-            if s.role == "link" and s.link == key:
-                return s
-        raise KeyError(f"no link subnet for pair {key}")
+        if key not in self._by_link:
+            raise KeyError(f"no link subnet for pair {key}")
+        return self._by_link[key]
 
     def address(self, entity: str, subnet_name: str) -> str:
         return self.interfaces[(entity, subnet_name)]
 
     def attachments(self, entity: str) -> list[tuple[str, str]]:
         """(subnet name, address) pairs for one entity, in subnet order."""
-        out = []
-        for s in self.subnets:
-            key = (entity, s.name)
-            if key in self.interfaces:
-                out.append((s.name, self.interfaces[key]))
-        return out
+        return list(self._attachments.get(entity, ()))
 
 
 def link_subnet_name(a: str, b: str) -> str:
     a, b = link_key(a, b)
     return f"link_{a}_{b}"
+
+
+def endpoint_addresses(np: NetPlan, hops: tuple[str, ...]) -> tuple[str, str]:
+    """Addresses that a path's packets are sent to: (terminal, source).
+
+    A direct connection uses the bridge subnet; a routed path uses its last
+    link for the terminal and its first link for the source.
+    """
+    if len(hops) == 2:
+        return np.address(hops[1], BRIDGE_NET), np.address(hops[0], BRIDGE_NET)
+    return _addr_on(np, hops[-1], hops[-2], hops[-1]), _addr_on(np, hops[0], hops[0], hops[1])
 
 
 def allocate_networks(
@@ -94,7 +102,8 @@ def allocate_networks(
 
     Deterministic: link pairs in lexicographic order step sequential subnets
     out of ``base``; within each subnet, members sorted by name get host
-    parts from .2 (or ::2) upward.
+    parts from .2 (or ::2) upward.  Each entity's interfaces are named
+    eth0, eth1, ... in subnet allocation order.
     """
     prefix = PREFIX_V4 if family == "v4" else PREFIX_V6
     base = base or (DEFAULT_BASE_V4 if family == "v4" else DEFAULT_BASE_V6)
@@ -106,41 +115,29 @@ def allocate_networks(
     pool = space.subnets(new_prefix=prefix)
 
     np = NetPlan(family=family)
-    bridge_members = list(t.bridge_members()) + [
-        m for m in extra_bridge_members if m not in t.bridge_members()
-    ]
-    routed = t.routed_pairs()
-
-    n_subnets = len(routed) + (1 if bridge_members else 0)
-    max_hosts = max([3] * bool(routed) + [len(bridge_members) + 1], default=0)
-    check_capacity(family, n_subnets, max_hosts, len(t.services))
+    known = set(t.bridge_members)
+    bridge_members = t.bridge_members + [m for m in extra_bridge_members if m not in known]
+    check_plan_capacity(family, len(t.routed_pairs), len(bridge_members), len(t.services))
 
     members_of: list[tuple[Subnet, list[str]]] = []
     if bridge_members:
-        net = next(pool)
-        sn = Subnet(name=BRIDGE_NET, cidr=str(net), role="bridge")
-        np.subnets.append(sn)
+        sn = Subnet(name=BRIDGE_NET, cidr=str(next(pool)), role="bridge")
         members_of.append((sn, sorted(bridge_members)))
-    for a, b in routed:
-        net = next(pool)
-        sn = Subnet(name=link_subnet_name(a, b), cidr=str(net), role="link", link=(a, b))
-        np.subnets.append(sn)
-        members_of.append((sn, sorted([a, b])))
+    for a, b in t.routed_pairs:
+        sn = Subnet(name=link_subnet_name(a, b), cidr=str(next(pool)), role="link", link=(a, b))
+        np._by_link[sn.link] = sn
+        members_of.append((sn, [a, b]))
 
     for sn, members in members_of:
+        np.subnets.append(sn)
+        np._by_name[sn.name] = sn
         hosts = sn.network.network_address + 2  # .1/::1 is the docker gateway
         for i, member in enumerate(members):
-            np.interfaces[(member, sn.name)] = str(hosts + i)
-
-    # interface names follow subnet allocation order per entity
-    counters: dict[str, int] = {}
-    for sn in np.subnets:
-        for (entity, sname) in list(np.interfaces):
-            if sname != sn.name:
-                continue
-            idx = counters.get(entity, 0)
-            counters[entity] = idx + 1
-            np.iface_names[(entity, sname)] = f"eth{idx}"
+            addr = str(hosts + i)
+            attached = np._attachments.setdefault(member, [])
+            np.interfaces[(member, sn.name)] = addr
+            np.iface_names[(member, sn.name)] = f"eth{len(attached)}"
+            attached.append((sn.name, addr))
 
     for name, svc in t.services.items():
         np.host_ports[name] = svc.port
@@ -205,7 +202,7 @@ def _netem_params(opt: ImpairmentSpec) -> str:
             parts.append(f"delay {format_us(opt.delay)} {format_us(opt.jitter)}")
         else:
             parts.append(f"delay {format_us(opt.delay)}")
-    for key in ("loss", "corrupt", "duplicate", "reorder"):
+    for key in PERCENT_OPTIONS:
         value = getattr(opt, key)
         if value is not None:
             parts.append(f"{key} {format_percent(value)}")
@@ -300,16 +297,15 @@ def plan_routes(t: ValidatedTopology, np: NetPlan) -> NetPlan:
     via the first router; each router forwards toward the destination via
     its next hop; reverse routes mirror the path so replies retrace it.
     """
-    setup: dict[str, list[str]] = {name: [] for name in t.ordered_entities()}
-    referenced_routers = {h for rp in t.path_table for h in rp.hops[1:-1]}
+    setup: dict[str, list[str]] = {name: [] for name in t.entities}
     for rname in t.routers:
-        if rname in referenced_routers:
+        if rname in t.referenced_routers:
             setup[rname].append(_forward_cmd(np.family))
 
     # impairments, in declaration order of the declaring entity
-    for name in t.ordered_entities():
+    for name in t.entities:
         for conn, first_hop in _declared_connections(t, name):
-            iface = _iface_toward(t, np, name, first_hop)
+            iface = _iface_toward(np, name, first_hop)
             if iface is None:
                 continue  # unreferenced router connection: no subnet exists
             for cmd in render_impairments(conn.options, iface):
@@ -334,8 +330,7 @@ def plan_routes(t: ValidatedTopology, np: NetPlan) -> NetPlan:
         hops = rp.hops
         if len(hops) < 3:
             continue  # direct connection: on-link on the bridge subnet
-        dst_ip = np.address(hops[-1], np.subnet_of_pair(hops[-2], hops[-1]).name)
-        src_ip = np.address(hops[0], np.subnet_of_pair(hops[0], hops[1]).name)
+        dst_ip, src_ip = endpoint_addresses(np, hops)
         # forward direction
         add(hops[0], dst_ip, _addr_on(np, hops[1], hops[0], hops[1]))
         for i in range(1, len(hops) - 2):
@@ -355,22 +350,18 @@ def _addr_on(np: NetPlan, entity: str, a: str, b: str) -> str:
 
 def _declared_connections(t: ValidatedTopology, name: str):
     """(connection, first hop) pairs declared by one entity, in order."""
-    ent = t.entities.get(name)
-    if ent is None:
-        return
     if name in t.services:
-        for ep in ent.endpoints:
-            for conn in ep.connections:
-                yield conn, conn.path.hops[0]
+        conns = [conn for ep in t.services[name].endpoints for conn in ep.connections]
     else:
-        for conn in ent.connections:
-            yield conn, conn.path.hops[0]
+        conns = t.routers[name].connections
+    for conn in conns:
+        yield conn, conn.path.hops[0]
 
 
-def _iface_toward(t: ValidatedTopology, np: NetPlan, name: str, first_hop: str) -> str | None:
-    key = link_key(name, first_hop)
-    if key in [s.link for s in np.subnets if s.role == "link"]:
-        return np.iface_names[(name, link_subnet_name(name, first_hop))]
+def _iface_toward(np: NetPlan, name: str, first_hop: str) -> str | None:
+    link = np._by_link.get(link_key(name, first_hop))
+    if link is not None:
+        return np.iface_names[(name, link.name)]
     if (name, BRIDGE_NET) in np.interfaces and (first_hop, BRIDGE_NET) in np.interfaces:
         return np.iface_names[(name, BRIDGE_NET)]
     return None
@@ -378,12 +369,12 @@ def _iface_toward(t: ValidatedTopology, np: NetPlan, name: str, first_hop: str) 
 
 def plan_timer_scripts(t: ValidatedTopology, np: NetPlan) -> NetPlan:
     """Render one combined timer script per entity that declares timers."""
-    for name in t.ordered_entities():
+    for name in t.entities:
         events: list[tuple[float, list[str]]] = []
         for conn, first_hop in _declared_connections(t, name):
             if not conn.options.timers:
                 continue
-            iface = _iface_toward(t, np, name, first_hop)
+            iface = _iface_toward(np, name, first_hop)
             if iface is None:
                 continue
             events.extend(timer_events(conn.options.timers, conn.options, iface))

@@ -12,12 +12,11 @@ import yaml
 from .errors import ConfigSyntaxError, SchemaError
 from .model import (
     NAME_RE,
+    PERCENT_OPTIONS,
     TIMED_OPTIONS,
     ConnectionSpec,
     EndpointSpec,
     ImpairmentSpec,
-    Path,
-    Rate,
     RouterSpec,
     ServiceSpec,
     TimerSpec,
@@ -174,7 +173,7 @@ def _parse_connection(entity: str, body, service_side: bool) -> ConnectionSpec:
     _check_keys(body, allowed, entity, "connection")
     if "path" not in body:
         raise SchemaError("connection is missing 'path'", entity, "path")
-    path = parse_path(body["path"]) if not isinstance(body["path"], Path) else body["path"]
+    path = parse_path(body["path"])
     url = body.get("url")
     if service_side:
         if not isinstance(url, str) or not url.startswith("/"):
@@ -200,7 +199,7 @@ def _parse_options(entity: str, body: dict) -> ImpairmentSpec:
     for key in ("delay", "jitter"):
         if key in body:
             kwargs[key] = parse_duration_us(body[key], entity=entity, fieldname=key)
-    for key in ("loss", "corrupt", "duplicate", "reorder"):
+    for key in PERCENT_OPTIONS:
         if key in body:
             kwargs[key] = parse_percent(body[key], entity=entity, fieldname=key)
     timers = body.get("timers", [])
@@ -263,7 +262,7 @@ def _options_to_dict(opt: ImpairmentSpec) -> dict:
         out["delay"] = format_us(opt.delay)
     if opt.jitter is not None:
         out["jitter"] = format_us(opt.jitter)
-    for key in ("loss", "corrupt", "duplicate", "reorder"):
+    for key in PERCENT_OPTIONS:
         value = getattr(opt, key)
         if value is not None:
             out[key] = format_percent(value)

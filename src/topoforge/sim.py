@@ -13,7 +13,7 @@ import hashlib
 import heapq
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import WorkloadUnreachableError
 from .model import ImpairmentSpec
@@ -403,16 +403,11 @@ class SimWorld:
         self.exchanges: dict[int, _Exchange] = {}
         self._next_eid = 0
 
-        paths_by_svc_ep: dict[str, dict[str, list[ResolvedPath]]] = {
-            name: {ep.entrypoint: [] for ep in spec.endpoints}
-            for name, spec in topology.services.items()
-        }
-        for rp in topology.path_table:
-            paths_by_svc_ep[rp.service][rp.entrypoint].append(rp)
-
         self.entities: dict[str, object] = {}
         for name, spec in topology.services.items():
-            self.entities[name] = _ServiceModel(self, name, spec, paths_by_svc_ep[name])
+            self.entities[name] = _ServiceModel(
+                self, name, spec, topology.paths_by_service[name]
+            )
         for name in topology.routers:
             self.entities[name] = _RouterModel(self, name)
 

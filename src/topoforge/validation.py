@@ -24,7 +24,10 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    PERCENT_OPTIONS,
+    TIMED_OPTIONS,
     ConnectionSpec,
+    EntitySpec,
     ImpairmentSpec,
     RouterSpec,
     ServiceSpec,
@@ -67,6 +70,14 @@ def check_capacity(family: str, n_subnets: int, max_hosts_in_subnet: int, n_serv
         raise CapacityExceededError(
             f"{n_services} services exceed the {MAX_SERVICES} host-exposable limit"
         )
+
+
+def check_plan_capacity(family: str, n_routed: int, n_bridge: int, n_services: int):
+    """check_capacity for one link subnet per routed pair (3 hosts: two ends
+    and the gateway) plus, with members, one bridge subnet."""
+    n_subnets = n_routed + (1 if n_bridge else 0)
+    max_hosts = max(3 if n_routed else 0, n_bridge + 1)
+    check_capacity(family, n_subnets, max_hosts, n_services)
 
 
 def link_key(a: str, b: str) -> tuple[str, str]:
@@ -112,63 +123,20 @@ class ValidatedTopology:
     call_graph: list[tuple[tuple[str, str], tuple[str, str]]]
     link_graph: dict[tuple[str, str], LinkEdge]
     path_table: list[ResolvedPath]
+    # every entity, in declaration order
+    entities: dict[str, EntitySpec]
+    # adjacent pairs of direct service-to-service connections, sorted
+    direct_pairs: list[tuple[str, str]]
+    # adjacent pairs on routed paths (one link subnet each), sorted
+    routed_pairs: list[tuple[str, str]]
+    # entities on the shared bridge subnet, in declaration order: the ends of
+    # direct pairs plus the entities on no link subnet at all
+    bridge_members: list[str]
+    # routers that lie on at least one resolved path
+    referenced_routers: set[str]
+    # service -> entrypoint -> resolved paths, in connection order
+    paths_by_service: dict[str, dict[str, list[ResolvedPath]]]
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def entities(self) -> dict:
-        merged = {}
-        merged.update(self.services)
-        merged.update(self.routers)
-        return merged
-
-    _order: list[str] = field(default_factory=list)
-
-    def ordered_entities(self) -> list[str]:
-        return list(self._order)
-
-    def direct_pairs(self) -> list[tuple[str, str]]:
-        """Adjacent pairs that are direct service-to-service connections."""
-        pairs = set()
-        for rp in self.path_table:
-            if len(rp.hops) == 2:
-                pairs.add(link_key(rp.hops[0], rp.hops[1]))
-        return sorted(pairs)
-
-    def routed_pairs(self) -> list[tuple[str, str]]:
-        """Adjacent pairs involving at least one router (per-link subnets)."""
-        pairs = set()
-        for rp in self.path_table:
-            if len(rp.hops) == 2:
-                continue
-            for x, y in zip(rp.hops, rp.hops[1:]):
-                pairs.add(link_key(x, y))
-        return sorted(pairs)
-
-    def unattached_entities(self) -> list[str]:
-        """Entities that appear on no link subnet (need the bridge for connectivity)."""
-        attached = set()
-        for a, b in self.routed_pairs():
-            attached.add(a)
-            attached.add(b)
-        for a, b in self.direct_pairs():
-            attached.add(a)
-            attached.add(b)
-        return [n for n in self._order if n not in attached]
-
-    def bridge_members(self) -> list[str]:
-        """Entities attached to the shared bridge subnet, in declaration order."""
-        members = set()
-        for a, b in self.direct_pairs():
-            members.add(a)
-            members.add(b)
-        members.update(self.unattached_entities())
-        return [n for n in self._order if n in members]
-
-    def needs_bridge(self) -> bool:
-        return bool(self.bridge_members())
-
-
-_PERCENT_OPTIONS = ("loss", "corrupt", "duplicate", "reorder")
 
 
 def _check_impairments(entity: str, opt: ImpairmentSpec):
@@ -182,7 +150,7 @@ def _check_impairments(entity: str, opt: ImpairmentSpec):
         value = getattr(opt, key)
         if value is not None and value < 0:
             raise OptionRangeError(f"{key} must be >= 0", entity, key)
-    for key in _PERCENT_OPTIONS:
+    for key in PERCENT_OPTIONS:
         value = getattr(opt, key)
         if value is not None and not (0 <= value <= 100):
             raise OptionRangeError(f"{key} {value} outside [0, 100]", entity, key)
@@ -210,7 +178,6 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
     """Resolve and validate a parsed topology for the given address family."""
     services = cfg.services()
     routers = cfg.routers()
-    order = list(cfg.entities)
     warnings: list[str] = []
 
     _check_ports(services, warnings)
@@ -236,17 +203,17 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
 
     # router linkage rule: every router on a resolved path must declare a
     # connection whose first hop is the path's next hop
-    consumed: set[tuple[str, int]] = set()
+    matched: dict[tuple[str, str], int] = {}  # (router, next hop) -> connection
     for rp in path_table:
-        for i in range(1, len(rp.hops) - 1):
-            router = rp.hops[i]
-            nxt = rp.hops[i + 1]
-            match = _router_connection_for(routers[router], nxt)
-            if match is None:
-                raise MissingRouterLinkageError(router, nxt, field="connections")
-            consumed.add((router, match))
+        for router, nxt in zip(rp.hops[1:-1], rp.hops[2:]):
+            if (router, nxt) not in matched:
+                match = _router_connection_for(routers[router], nxt)
+                if match is None:
+                    raise MissingRouterLinkageError(router, nxt, field="connections")
+                matched[(router, nxt)] = match
 
-    referenced_routers = {h for rp in path_table for h in rp.hops[1:-1]}
+    consumed = {(router, ci) for (router, _nxt), ci in matched.items()}
+    referenced_routers = {router for router, _nxt in matched}
     for rname, rtr in routers.items():
         if rname not in referenced_routers:
             warnings.append(f"router '{rname}' is not referenced by any path")
@@ -261,24 +228,37 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
 
     call_graph = _build_call_graph(cfg, path_table)
     _reject_cycles(call_graph)
-    link_graph = _build_link_graph(cfg, path_table, routers)
+    link_graph = _build_link_graph(path_table, routers, matched)
 
-    vt = ValidatedTopology(
+    direct, routed = set(), set()
+    paths_by_service = {
+        name: {ep.entrypoint: [] for ep in svc.endpoints} for name, svc in services.items()
+    }
+    for rp in path_table:
+        if len(rp.hops) == 2:
+            direct.add(link_key(*rp.hops))
+        else:
+            routed.update(link_key(x, y) for x, y in zip(rp.hops, rp.hops[1:]))
+        paths_by_service[rp.service][rp.entrypoint].append(rp)
+    direct_ends = {n for pair in direct for n in pair}
+    routed_ends = {n for pair in routed for n in pair}
+    bridge_members = [n for n in cfg.entities if n in direct_ends or n not in routed_ends]
+
+    check_plan_capacity(family, len(routed), len(bridge_members), len(services))
+    return ValidatedTopology(
         services=services,
         routers=routers,
         call_graph=call_graph,
         link_graph=link_graph,
         path_table=path_table,
+        entities=dict(cfg.entities),
+        direct_pairs=sorted(direct),
+        routed_pairs=sorted(routed),
+        bridge_members=bridge_members,
+        referenced_routers=referenced_routers,
+        paths_by_service=paths_by_service,
         warnings=warnings,
-        _order=order,
     )
-
-    n_subnets = len(vt.routed_pairs()) + (1 if vt.needs_bridge() else 0)
-    max_hosts = max(
-        [3] * bool(vt.routed_pairs()) + [len(vt.bridge_members()) + 1], default=0
-    )
-    check_capacity(family, n_subnets, max_hosts, len(services))
-    return vt
 
 
 def _check_ports(services: dict[str, ServiceSpec], warnings: list[str]):
@@ -379,19 +359,8 @@ def _reject_cycles(call_graph):
                 stack.pop()
 
 
-def _merge_impairments(edge: LinkEdge, opt: ImpairmentSpec, declarer: str, warnings=None):
-    for name in (
-        "mtu",
-        "buffer_size",
-        "rate",
-        "delay",
-        "jitter",
-        "loss",
-        "corrupt",
-        "duplicate",
-        "reorder",
-        "timers",
-    ):
+def _merge_impairments(edge: LinkEdge, opt: ImpairmentSpec, declarer: str):
+    for name in TIMED_OPTIONS + ("timers",):
         value = getattr(opt, name)
         if value is None or (name == "timers" and not value):
             continue
@@ -402,7 +371,7 @@ def _merge_impairments(edge: LinkEdge, opt: ImpairmentSpec, declarer: str, warni
         # identical re-declarations are harmless; conflicts keep the first
 
 
-def _build_link_graph(cfg, path_table, routers):
+def _build_link_graph(path_table, routers, matched):
     links: dict[tuple[str, str], LinkEdge] = {}
 
     def edge(a, b):
@@ -415,9 +384,7 @@ def _build_link_graph(cfg, path_table, routers):
         # the declaring service's options govern its first adjacent pair
         _merge_impairments(edge(rp.hops[0], rp.hops[1]), rp.options, rp.hops[0])
         # each router's matched connection governs the pair toward its next hop
-        for i in range(1, len(rp.hops) - 1):
-            router, nxt = rp.hops[i], rp.hops[i + 1]
-            ci = _router_connection_for(routers[router], nxt)
-            conn = routers[router].connections[ci]
+        for router, nxt in zip(rp.hops[1:-1], rp.hops[2:]):
+            conn = routers[router].connections[matched[(router, nxt)]]
             _merge_impairments(edge(router, nxt), conn.options, router)
     return links
