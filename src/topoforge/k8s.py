@@ -1,15 +1,15 @@
 """Serialization of a DeploymentPlan to kubernetes manifests.
 
 Per entity: one Deployment, one stable-name Service, and one ConfigMap
-carrying the runtime config, setup commands, and timer script.  The cluster
-target uses the flat pod network; per-link subnets are not reproduced there,
-impairments still apply to container egress interfaces.
+carrying the runtime config and timer script; the setup commands run inline
+in the pod's postStart hook.  The cluster target uses the flat pod network;
+per-link subnets are not reproduced there, impairments still apply to
+container egress interfaces.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import yaml
 
@@ -22,9 +22,6 @@ def _configmap(c: ContainerSpec) -> dict:
     data = {}
     if c.config_payload is not None:
         data["config.json"] = json.dumps(c.config_payload, indent=2, sort_keys=True)
-    if c.setup:
-        # the timer script is a key of its own, so setup.sh does not start it
-        data["setup.sh"] = f"#!/bin/sh\n{setup_script(replace(c, timer_script=None))}\n"
     if c.timer_script:
         data["timers.sh"] = c.timer_script
     return {

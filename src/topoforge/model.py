@@ -136,7 +136,9 @@ def parse_path(s: str) -> Path:
     Hops are trimmed of surrounding whitespace; empty hops (including those
     produced by a leading or trailing separator) are rejected.
     """
-    if not isinstance(s, str) or not s.strip():
+    if not isinstance(s, str):
+        raise PathSyntaxError(f"path must be a string, got {s!r}")
+    if not s.strip():
         raise PathSyntaxError(f"empty path string: {s!r}")
     hops = [h.strip() for h in s.split("->")]
     if any(not h for h in hops):

@@ -3,8 +3,15 @@
 Virtual time, single-threaded event loop, seeded randomness: identical
 (topology, seed, workload) inputs produce identical reports.  Entities clone
 the runtime's sequential-downstream semantics; links model the impairment
-options; request-level reliability is retransmission on a fixed virtual
-timeout.
+options.
+
+Reliability is per exchange (one request/response round trip).  Each
+exchange arms one timer at min(now + rto, deadline); when it fires the
+exchange either retransmits and re-arms, or expires.  The terminal service
+executes a request at most once: the exchange records that its request is
+being served and then caches the reply, which a retransmission gets resent.
+That state lives and dies with the exchange, and a late copy of a request or
+response whose exchange has finished is dropped.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ import hashlib
 import heapq
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from .errors import WorkloadUnreachableError
 from .model import ImpairmentSpec
@@ -49,7 +57,7 @@ class Workload:
     duration_s: float = 1.0
     start_s: float = 0.0  # virtual time at which the load begins
 
-    def check(self):
+    def __post_init__(self):
         if self.mode == "closed" and self.clients < 1:
             raise ValueError("closed-loop workload needs clients >= 1")
         if self.mode == "open" and not (self.rate and self.rate > 0):
@@ -113,7 +121,7 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     kind: str  # request | response
     exchange_id: int
@@ -182,7 +190,6 @@ class _LinkDir:
             self.dropped += msg.size
             return
         if eff.corrupt is not None and self.rng.random() * 100.0 < eff.corrupt:
-            msg = _copy_msg(msg)
             msg.corrupted = True
         latency = 0.0
         if eff.delay is not None:
@@ -198,7 +205,7 @@ class _LinkDir:
         self.world.schedule_at(now + latency, self._arrive, msg, deliver)
         if dup:
             self.tx += msg.size
-            self.world.schedule_at(now + latency, self._arrive, _copy_msg(msg), deliver)
+            self.world.schedule_at(now + latency, self._arrive, replace(msg), deliver)
 
     def _arrive(self, now: float, msg: Message, deliver):
         if msg.corrupted:
@@ -208,24 +215,10 @@ class _LinkDir:
         deliver(now, msg)
 
 
-def _copy_msg(msg: Message) -> Message:
-    return Message(
-        kind=msg.kind,
-        exchange_id=msg.exchange_id,
-        route=msg.route,
-        index=msg.index,
-        size=msg.size,
-        url=msg.url,
-        ok=msg.ok,
-        failed_hop=msg.failed_hop,
-        corrupted=msg.corrupted,
-    )
-
-
 class _Exchange:
     """One reliable request/response round trip along a route."""
 
-    __slots__ = ("world", "route", "url", "deadline", "on_done", "eid", "done", "issued_at")
+    __slots__ = ("world", "route", "url", "deadline", "on_done", "eid", "issued_at", "served")
 
     def __init__(self, world, route, url, deadline_us, on_done):
         self.world = world
@@ -233,46 +226,31 @@ class _Exchange:
         self.url = url
         self.on_done = on_done
         self.eid = world.next_exchange_id()
-        self.done = False
         self.issued_at = world.now
-        self.deadline = None if deadline_us is None else world.now + deadline_us
+        self.deadline = world.now + deadline_us
+        # at the terminal service: None until the request first arrives, ()
+        # while it is served, then the cached (ok, psize, failed_hop) reply
+        self.served: tuple | None = None
         world.exchanges[self.eid] = self
-        if self.deadline is not None:
-            world.schedule_at(self.deadline, self._expire)
         self._attempt()
 
-    def _attempt(self, now: float | None = None):
-        if self.done:
-            return
-        now = self.world.now
-        if self.deadline is not None and now >= self.deadline:
-            return
-        msg = Message(
-            kind="request",
-            exchange_id=self.eid,
-            route=self.route,
-            index=0,
-            size=self.world.params.request_bytes,
-            url=self.url,
-        )
-        self.world.inject(msg, now)
-        self.world.schedule(self.world.params.rto_us, self._rto)
+    def _attempt(self):
+        world = self.world
+        now = world.now
+        msg = Message("request", self.eid, self.route, 0, world.params.request_bytes, self.url)
+        world.forward(msg, now)
+        world.schedule_at(min(now + world.params.rto_us, self.deadline), self._timeout)
 
-    def _rto(self, now: float):
-        if not self.done:
+    def _timeout(self, now: float):
+        if self.eid not in self.world.exchanges:
+            return  # finished before the timer fired
+        if now >= self.deadline:
+            self.finish(False)
+        else:
             self._attempt()
 
-    def _expire(self, now: float):
-        if not self.done:
-            self._finish(False)
-
-    def on_response(self, msg: Message):
-        if not self.done:
-            self._finish(msg.ok)
-
-    def _finish(self, ok: bool):
-        self.done = True
-        self.world.exchanges.pop(self.eid, None)
+    def finish(self, ok: bool):
+        del self.world.exchanges[self.eid]
         self.on_done(ok, self.world.now - self.issued_at)
 
 
@@ -311,7 +289,7 @@ class _Job:
 
 class _ServiceModel:
     __slots__ = (
-        "world", "name", "busy_until", "downstream_paths", "psizes", "rx", "tx", "proc", "seen",
+        "world", "name", "busy_until", "downstream_paths", "psizes", "rx", "tx", "proc",
     )
 
     def __init__(self, world, name, svc_spec, paths_by_ep):
@@ -322,9 +300,6 @@ class _ServiceModel:
         self.downstream_paths = paths_by_ep
         self.psizes = {ep.entrypoint: ep.psize for ep in svc_spec.endpoints}
         self.rx = self.tx = 0
-        # per-exchange request dedup: in-flight retransmits are absorbed and
-        # finished ones get the cached reply resent (at-most-once execution)
-        self.seen: dict[int, tuple | None] = {}
 
     def on_message(self, now: float, msg: Message):
         # single-server processing: each message costs one proc slot
@@ -333,40 +308,37 @@ class _ServiceModel:
         self.world.schedule_at(self.busy_until, self._handle, msg)
 
     def _handle(self, now: float, msg: Message):
+        ex = self.world.exchanges.get(msg.exchange_id)
+        if ex is None:
+            return  # late copy for a finished exchange
         if msg.kind == "response":
-            ex = self.world.exchanges.get(msg.exchange_id)
-            if ex is not None:
-                ex.on_response(msg)
-            return
-        eid = msg.exchange_id
-        if eid in self.seen:
-            cached = self.seen[eid]
-            if cached is not None:
-                self._reply(msg, *cached)
-            return
-        self.seen[eid] = None
-        if msg.url not in self.psizes:
-            self._finish_request(msg, False, 0, self.name)  # unknown entrypoint
-            return
-        job = _Job(self, msg.url, lambda ok, psize, hop, m=msg: self._finish_request(m, ok, psize, hop))
-        job.step(now)
+            ex.finish(msg.ok)
+        elif ex.served is None:
+            # at-most-once: retransmits of a request in service are absorbed
+            ex.served = ()
+            if msg.url in self.psizes:
+                _Job(self, msg.url, partial(self._finish_request, ex)).step(now)
+            else:
+                self._finish_request(ex, False, 0, self.name)  # unknown entrypoint
+        elif ex.served:
+            self._reply(ex, *ex.served)  # already answered: resend the cached reply
 
-    def _finish_request(self, req: Message, ok: bool, psize: int, failed_hop: str | None):
-        self.seen[req.exchange_id] = (ok, psize, failed_hop)
-        self._reply(req, ok, psize, failed_hop)
+    def _finish_request(self, ex: _Exchange, ok: bool, psize: int, failed_hop: str | None):
+        ex.served = (ok, psize, failed_hop)
+        self._reply(ex, ok, psize, failed_hop)
 
-    def _reply(self, req: Message, ok: bool, psize: int, failed_hop: str | None):
+    def _reply(self, ex: _Exchange, ok: bool, psize: int, failed_hop: str | None):
         size = self.world.params.header_bytes + (psize if ok else 0)
         resp = Message(
             kind="response",
-            exchange_id=req.exchange_id,
-            route=tuple(reversed(req.route)),
+            exchange_id=ex.eid,
+            route=ex.route[::-1],
             index=0,
             size=size,
             ok=ok,
             failed_hop=failed_hop,
         )
-        self.world.inject(resp, self.world.now)
+        self.world.forward(resp, self.world.now)
 
 
 class _RouterModel:
@@ -429,9 +401,6 @@ class SimWorld:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, fn, args))
 
-    def schedule(self, delay_us: float, fn, *args):
-        self.schedule_at(self.now + delay_us, fn, *args)
-
     def run_until(self, t_end_us: float):
         while self._heap and self._heap[0][0] <= t_end_us:
             t, _seq, fn, args = heapq.heappop(self._heap)
@@ -440,39 +409,30 @@ class SimWorld:
             fn(t, *args)
         self.now = max(self.now, t_end_us)
 
-    def idle(self) -> bool:
-        return not self._heap
-
     # --- message movement -------------------------------------------------------
 
-    def inject(self, msg: Message, now: float):
-        """A message leaves the entity at route[index] toward route[index+1]."""
-        self.forward(msg, now)
-
     def forward(self, msg: Message, now: float):
+        """Move a message from the entity at route[index] toward route[index+1]."""
         route = msg.route
         src = route[msg.index]
         model = self.entities.get(src)
         if model is not None:
             model.tx += msg.size
-        if msg.index + 1 >= len(route):
-            return  # already at the end (defensive)
-        dst = route[msg.index + 1]
-        nxt = _copy_msg(msg)
-        nxt.index = msg.index + 1
+        msg.index += 1
+        dst = route[msg.index]
         link = self.links.get(link_key(src, dst))
         if link is None:
             # no modeled link (external client attachment): direct handoff
-            self._deliver(now, nxt)
+            self._deliver(now, msg)
             return
-        link[(src, dst)].transmit(nxt, now, self._deliver)
+        link[(src, dst)].transmit(msg, now, self._deliver)
 
     def _deliver(self, now: float, msg: Message):
         name = msg.route[msg.index]
         if name == "__client__":
             ex = self.exchanges.get(msg.exchange_id)
             if ex is not None:
-                ex.on_response(msg)
+                ex.finish(msg.ok)
             return
         model = self.entities[name]
         model.rx += msg.size
@@ -506,7 +466,8 @@ def _percentile(sorted_vals: list[float], q: float) -> float:
 
 def run(world: SimWorld, workload: Workload) -> SimReport:
     """Execute a workload against a freshly built world."""
-    workload.check()
+    if world._seq:
+        raise ValueError("run needs a freshly built world; build another with build_sim")
     svc = world.topology.services.get(workload.service)
     if svc is None or all(ep.entrypoint != workload.entrypoint for ep in svc.endpoints):
         raise WorkloadUnreachableError(
@@ -548,17 +509,24 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
         for _ in range(workload.clients):
             world.schedule_at(start_us, lambda _t: issue(loop_done))
     else:
+        # one pending arrival at a time: each arrival schedules the next
         n = int(workload.rate * workload.duration_s)
         spacing = S / workload.rate
-        for i in range(n):
-            world.schedule_at(start_us + i * spacing, lambda _t: issue())
+
+        def arrive(_t: float, i: int):
+            issue()
+            if i + 1 < n:
+                world.schedule_at(start_us + (i + 1) * spacing, arrive, i + 1)
+
+        if n:
+            world.schedule_at(start_us, arrive, 0)
 
     hard_stop = end_us + world.params.request_deadline_us + world.params.rto_us
     world.run_until(hard_stop)
     # anything still unresolved at the hard stop counts as failed
     for ex in list(world.exchanges.values()):
         if ex.route == route:
-            ex._finish(False)
+            ex.finish(False)
 
     rtts.sort()
     completed = stats["completed"]

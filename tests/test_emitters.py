@@ -107,7 +107,7 @@ class TestKubernetes:
         assert "tc qdisc add dev eth1 root netem rate 100mbit" in hook
         assert "(sh /etc/topoforge/timers.sh &)" in hook
         cm = yaml.safe_load(files["frontend-configmap.yaml"])
-        assert set(cm["data"]) == {"config.json", "setup.sh", "timers.sh"}
+        assert set(cm["data"]) == {"config.json", "timers.sh"}
 
     def test_router_service_headless(self, fig4_topology):
         _np, plan = _plan(fig4_topology, target="k8s")

@@ -1,7 +1,7 @@
 """Parsing, literal handling, and serialization round-trips."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import topoforge as tf
@@ -179,6 +179,10 @@ class TestPathParsing:
         with pytest.raises(PathSyntaxError):
             parse_path(bad)
 
+    def test_non_string_named_as_such(self):
+        with pytest.raises(PathSyntaxError, match="path must be a string, got True"):
+            parse_path(True)
+
 
 class TestLiterals:
     def test_rate(self):
@@ -226,7 +230,7 @@ def _configs(draw):
     )
     doc_lines = []
     for i, name in enumerate(names):
-        doc_lines.append(f"{name}:")
+        doc_lines.append(f'"{name}":')
         doc_lines.append("  type: service")
         doc_lines.append(f"  port: {8000 + i}")
         doc_lines.append("  endpoints:")
@@ -235,7 +239,7 @@ def _configs(draw):
         if i + 1 < n and draw(st.booleans()):
             target = names[draw(st.integers(i + 1, n - 1))]
             doc_lines.append("      connections:")
-            doc_lines.append(f"        - path: {target}")
+            doc_lines.append(f'        - path: "{target}"')
             doc_lines.append("          url: /")
             if draw(st.booleans()):
                 doc_lines.append(f"          delay: {draw(st.integers(1, 10_000))}us")
@@ -246,8 +250,18 @@ def _configs(draw):
     return "\n".join(doc_lines) + "\n"
 
 
+# names that YAML 1.1 reads as booleans or null unless quoted
+_KEYWORD_NAMES = (
+    '"yes":\n  type: service\n  port: 8000\n  endpoints:\n    - entrypoint: /\n'
+    '      psize: 5\n      connections:\n        - path: "null"\n          url: /\n'
+    '"null":\n  type: service\n  port: 8001\n  endpoints:\n    - entrypoint: /\n'
+    "      psize: 7\n"
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_configs())
+@example(_KEYWORD_NAMES)
 def test_serialize_parse_roundtrip(text):
     cfg = tf.parse_config(text)
     assert tf.parse_config(tf.serialize_config(cfg)) == cfg

@@ -7,7 +7,7 @@ import pytest
 import topoforge as tf
 from topoforge.errors import WorkloadUnreachableError
 from topoforge.model import ImpairmentSpec, Rate
-from topoforge.sim import MS, S, _LinkDir, build_sim, run
+from topoforge.sim import MS, S, ModelParams, _LinkDir, build_sim, run
 
 from conftest import delay_chain_config, make_topology
 
@@ -159,6 +159,13 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             run(build_sim(self._topo()), tf.Workload(service="a", entrypoint="/", **kw))
 
+    def test_used_world_refused(self):
+        world = build_sim(self._topo(), seed=1)
+        w = tf.Workload(service="a", entrypoint="/", mode="open", rate=100.0, duration_s=0.1)
+        run(world, w)
+        with pytest.raises(ValueError, match="freshly built world"):
+            run(world, w)
+
     def test_start_offset_shifts_window(self):
         w = tf.Workload(service="a", entrypoint="/", mode="open", rate=100.0, duration_s=0.5, start_s=2.0)
         report = run(build_sim(self._topo(), seed=1), w)
@@ -214,3 +221,44 @@ class TestByteAccounting:
         assert rd["tx"] == fr["rx"]
         back = report.link_bytes["db->r1"]
         assert back["tx"] == report.completed * (128 + 128)  # header + db psize
+
+
+class TestReliability:
+    # a -> b -> c; the a-b link loses and duplicates packets, and a 1 ms delay
+    # each way makes the a->b round trip longer than the retransmission
+    # timeout, so b sees retransmits both while it serves and after it replied
+    LOSSY_CHAIN = (
+        "a:\n  type: service\n  port: 9000\n  endpoints:\n"
+        "    - entrypoint: /\n      psize: 64\n      connections:\n"
+        "        - path: b\n          url: /\n          delay: 1ms\n"
+        "          loss: 20%\n          duplicate: 50%\n"
+        "b:\n  type: service\n  port: 9001\n  endpoints:\n"
+        "    - entrypoint: /\n      psize: 64\n      connections:\n"
+        "        - path: c\n          url: /\n"
+        "c:\n  type: service\n  port: 9002\n  endpoints:\n"
+        "    - entrypoint: /\n      psize: 64\n"
+    )
+
+    def test_terminal_executes_each_request_at_most_once(self):
+        params = ModelParams(rto_us=1.5 * MS)
+        world = build_sim(make_topology(self.LOSSY_CHAIN), seed=4, params=params)
+        w = tf.Workload(service="a", entrypoint="/", mode="open", rate=200.0, duration_s=0.5)
+        report = run(world, w)
+        assert report.completed == report.issued == 100
+        ab = report.link_bytes["a->b"]
+        assert ab["tx"] > 2 * report.issued * params.request_bytes  # duplicates and retransmits
+        assert ab["dropped"] > 0
+        # a calls b once per request it serves, and b calls c once per a->b
+        # exchange, however many copies of that exchange's request reach b
+        assert report.link_bytes["b->c"]["tx"] == report.issued * params.request_bytes
+
+    def test_state_bounded_by_in_flight_work(self, fig4_topology):
+        heap_left = []
+        for duration_s in (0.25, 0.5):
+            world = build_sim(fig4_topology, seed=0)
+            w = tf.Workload(service="frontend", entrypoint="/", mode="closed", clients=8,
+                            duration_s=duration_s)
+            run(world, w)
+            assert world.exchanges == {}
+            heap_left.append(len(world._heap))
+        assert heap_left[1] <= heap_left[0]
