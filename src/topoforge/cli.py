@@ -97,7 +97,6 @@ def _options(args) -> GenerationOptions:
 
 
 def _write(path: Path, data):
-    path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(data, bytes):
         path.write_bytes(data)
     else:
@@ -108,29 +107,24 @@ def cmd_generate(args) -> int:
     opts = _options(args)
     topo = _load(args)
     np, plan = plan_deployment(topo, opts)
-    out = Path(args.output)
-    written = []
     if opts.target == "compose":
-        _write(out / COMPOSE_FILE, emit_compose(plan))
-        written.append(COMPOSE_FILE)
+        files = [(COMPOSE_FILE, emit_compose(plan))]
     else:
-        for name, text in emit_k8s(plan):
-            _write(out / MANIFEST_DIR / name, text)
-            written.append(f"{MANIFEST_DIR}/{name}")
+        files = [(f"{MANIFEST_DIR}/{name}", text) for name, text in emit_k8s(plan)]
     for c in plan.containers:
         if c.role == "service":
-            _write(
-                out / CONFIG_DIR / f"{c.name}.json",
-                json.dumps(c.config_payload, indent=2, sort_keys=True) + "\n",
-            )
-            written.append(f"{CONFIG_DIR}/{c.name}.json")
+            payload = json.dumps(c.config_payload, indent=2, sort_keys=True) + "\n"
+            files.append((f"{CONFIG_DIR}/{c.name}.json", payload))
         if c.timer_script:
-            _write(out / TIMER_DIR / f"{c.name}.sh", c.timer_script)
-            written.append(f"{TIMER_DIR}/{c.name}.sh")
-    for rel, data in sorted(plan.materials.items()):
+            files.append((f"{TIMER_DIR}/{c.name}.sh", c.timer_script))
+    files.extend(sorted(plan.materials.items()))
+    out = Path(args.output)
+    # one mkdir per output directory, not one per file
+    for directory in sorted({rel.rpartition("/")[0] for rel, _ in files}):
+        (out / directory).mkdir(parents=True, exist_ok=True)
+    for rel, data in files:
         _write(out / rel, data)
-        written.append(rel)
-    for rel in written:
+    for rel, _ in files:
         print(f"wrote {out / rel}")
     return 0
 

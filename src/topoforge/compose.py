@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import yaml
-
+from . import yamlio
 from .deploy import (
     CONFIG_MOUNT,
     TIMER_MOUNT,
@@ -57,4 +56,4 @@ def emit_compose(plan: DeploymentPlan) -> str:
             net["enable_ipv6"] = True
         net["ipam"] = {"config": [{"subnet": subnet.cidr}]}
         doc["networks"][subnet.name] = net
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False, width=100000)
+    return yamlio.dump(doc)

@@ -56,14 +56,18 @@ class ForwardingError(Exception):
     pass
 
 
-def forward(fib: Fib, np: NetPlan, src: str, dst_addr: str, max_hops: int = 64) -> list[str]:
-    """Entity names a packet visits from ``src`` to the holder of ``dst_addr``."""
+def forward(fib: Fib, np: NetPlan, src: str, dst_addr: str) -> list[str]:
+    """Entity names a packet visits from ``src`` to the holder of ``dst_addr``.
+
+    Each hop depends only on the entity and the destination, so a walk that
+    comes back to an entity it already left loops forever; that, not a hop
+    count, is the loop test.
+    """
     visited = [src]
+    seen = {src}
     current = src
-    for _ in range(max_hops):
-        owner = fib.addr_owner.get(dst_addr)
-        if owner == current:
-            return visited
+    owner = fib.addr_owner.get(dst_addr)
+    while owner != current:
         match = fib.lookup(current, dst_addr)
         if match is None:
             raise ForwardingError(f"{current} has no route toward {dst_addr}")
@@ -78,8 +82,11 @@ def forward(fib: Fib, np: NetPlan, src: str, dst_addr: str, max_hops: int = 64) 
             if nxt is None:
                 raise ForwardingError(f"gateway {via} owned by nobody (at {current})")
         visited.append(nxt)
+        if nxt in seen:
+            raise ForwardingError(f"forwarding loop from {src} toward {dst_addr}: {visited}")
+        seen.add(nxt)
         current = nxt
-    raise ForwardingError(f"forwarding loop from {src} toward {dst_addr}: {visited}")
+    return visited
 
 
 @dataclass

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 
-import yaml
-
+from . import yamlio
 from .deploy import ContainerSpec, DeploymentPlan, main_command, setup_script
 
 CONFIG_MOUNT_DIR = "/etc/topoforge"
@@ -95,11 +94,7 @@ def emit_k8s(plan: DeploymentPlan) -> list[tuple[str, str]]:
     """(file name, manifest text) pairs, one file per manifest."""
     out = []
     for c in plan.containers:
-        out.append(
-            (f"{c.name}-configmap.yaml", yaml.safe_dump(_configmap(c), sort_keys=False))
-        )
-        out.append(
-            (f"{c.name}-deployment.yaml", yaml.safe_dump(_deployment(c), sort_keys=False))
-        )
-        out.append((f"{c.name}-service.yaml", yaml.safe_dump(_service(c), sort_keys=False)))
+        out.append((f"{c.name}-configmap.yaml", yamlio.dump(_configmap(c))))
+        out.append((f"{c.name}-deployment.yaml", yamlio.dump(_deployment(c))))
+        out.append((f"{c.name}-service.yaml", yamlio.dump(_service(c))))
     return out

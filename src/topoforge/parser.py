@@ -7,8 +7,11 @@ errors; numeric fields are never coerced from strings.
 
 from __future__ import annotations
 
+import functools
+
 import yaml
 
+from . import yamlio
 from .errors import ConfigSyntaxError, SchemaError
 from .model import (
     NAME_RE,
@@ -39,10 +42,6 @@ _ROUTER_CONN_KEYS = {"path"} | _OPTION_KEYS
 _TIMER_KEYS = {"option", "start", "duration", "newValue"}
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys with a line number."""
-
-
 def _construct_mapping(loader, node, deep=False):
     mapping = {}
     for key_node, value_node in node.value:
@@ -55,15 +54,20 @@ def _construct_mapping(loader, node, deep=False):
     return mapping
 
 
-_StrictLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
-)
+@functools.cache
+def _strict_loader(base: type) -> type:
+    """``base`` loader that rejects duplicate mapping keys with a line number."""
+    loader = type("_StrictLoader", (base,), {})
+    loader.add_constructor(
+        yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
+    )
+    return loader
 
 
 def parse_config(text: str) -> TopologyConfig:
     """Parse a configuration document into a :class:`TopologyConfig`."""
     try:
-        doc = yaml.load(text, Loader=_StrictLoader)
+        doc = yaml.load(text, Loader=_strict_loader(yamlio.Loader))
     except ConfigSyntaxError:
         raise
     except yaml.YAMLError as exc:
@@ -330,7 +334,7 @@ def serialize_config(cfg: TopologyConfig) -> str:
 
     ``parse_config(serialize_config(cfg)) == cfg`` holds for any parsed cfg.
     """
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=False)
+    return yamlio.dump(config_to_dict(cfg))
 
 
 # re-export for API symmetry with parse_config

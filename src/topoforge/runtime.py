@@ -155,12 +155,13 @@ class SpanExporter:
 
     def _deliver(self, batch: list[SpanRecord]):
         payload = "\n".join(json.dumps(r.to_wire(), sort_keys=True) for r in batch) + "\n"
+        lost = False  # a span is dropped once, however many destinations fail
         if self.sink_file:
             try:
                 with open(self.sink_file, "a") as fh:
                     fh.write(payload)
             except OSError:
-                self.dropped += len(batch)
+                lost = True
         if self.endpoint:
             try:
                 req = urllib.request.Request(
@@ -170,7 +171,10 @@ class SpanExporter:
                 )
                 urllib.request.urlopen(req, timeout=2.0).read()
             except (urllib.error.URLError, OSError, ValueError):
-                pass  # best effort
+                lost = True
+        if lost:
+            with self._lock:  # export() counts overflow drops concurrently
+                self.dropped += len(batch)
 
     def flush(self, timeout: float = 2.0):
         deadline = time.monotonic() + timeout

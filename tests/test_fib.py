@@ -1,5 +1,6 @@
 """Model-FIB forwarding over the emitted routes."""
 
+import ipaddress
 import random
 
 import pytest
@@ -8,7 +9,7 @@ import topoforge as tf
 from topoforge.fib import ForwardingError, build_fib, check_path_fidelity, forward
 from topoforge.netplan import plan_network
 
-from conftest import make_topology, random_topology_text
+from conftest import depth_config, make_topology, random_topology_text
 
 
 def test_fig4_paths_followed_exactly(fig4_topology):
@@ -55,6 +56,24 @@ def test_no_route_raises(fig4_topology):
     fib = build_fib(np)
     with pytest.raises(ForwardingError):
         forward(fib, np, "payment", np.address("db", "link_db_r1"))
+
+
+def test_path_through_70_routers_followed():
+    topo = make_topology(depth_config(70))
+    result = check_path_fidelity(topo, plan_network(topo))
+    assert result.ok, result.failures
+
+
+def test_real_loop_raises(fig4_topology):
+    np = plan_network(fig4_topology)
+    fib = build_fib(np)
+    dst = np.address("db", "link_db_r1")
+    # r1 sends db's address back to frontend, whose route points at r1
+    back = ipaddress.ip_address(np.address("frontend", "link_frontend_r1"))
+    fib.tables["r1"].append((ipaddress.ip_network(f"{dst}/32"), back))
+    with pytest.raises(ForwardingError, match="forwarding loop") as ei:
+        forward(fib, np, "frontend", dst)
+    assert "['frontend', 'r1', 'frontend']" in str(ei.value)
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -210,6 +211,19 @@ class TestSpanExporter:
             assert [r.name for r in ex._queue] == ["s3", "s4"]
         del ex._drain
         ex.close()
+
+    def test_failed_delivery_counted(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        # nothing listens on the port any more: every POST is refused
+        ex = SpanExporter(endpoint=f"http://127.0.0.1:{port}/v1/traces")
+        for i in range(3):
+            ex.export(SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1))
+        ex.close()
+        ex._thread.join(timeout=5)
+        assert not ex._thread.is_alive()
+        assert ex.dropped == 3
 
     def test_span_end_before_start_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,127 @@
+"""The libyaml and the pure-Python YAML backends load and write the same thing.
+
+Each check runs once with the backend ``topoforge.yamlio`` chose and once with
+PyYAML's pure-Python classes patched in, and compares the results.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+import yaml
+
+import topoforge as tf
+from topoforge import parser, yamlio
+from topoforge.deploy import GenerationOptions, plan_deployment
+from topoforge.errors import ConfigSyntaxError
+
+from conftest import random_topology_text
+
+DATA = Path(__file__).parent / "data"
+SHOP = Path(__file__).parent.parent / "topologies" / "shop_demo.yml"
+ALL_FLAGS = dict(family="v6", scheme="https", tracing=True, ioam=True, target="k8s")
+
+
+class _PureLoader(yaml.SafeLoader):
+    used = 0
+
+    def __init__(self, stream):
+        _PureLoader.used += 1  # the parser instantiates a subclass
+        super().__init__(stream)
+
+
+class _PureDumper(yaml.SafeDumper):
+    used = 0
+
+    def __init__(self, *args, **kwargs):
+        _PureDumper.used += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def both(monkeypatch):
+    """Call ``fn`` under the chosen backend, then under the pure-Python one."""
+
+    def run(fn):
+        chosen = fn()
+        _PureLoader.used = _PureDumper.used = 0
+        with monkeypatch.context() as m:
+            m.setattr(yamlio, "Loader", _PureLoader)
+            m.setattr(yamlio, "Dumper", _PureDumper)
+            pure = fn()
+        assert _PureLoader.used or _PureDumper.used, "pure-Python backend not used"
+        return chosen, pure
+
+    return run
+
+
+def _syntax_error_line(text: str) -> int:
+    with pytest.raises(ConfigSyntaxError) as ei:
+        tf.parse_config(text)
+    return ei.value.line
+
+
+def test_libyaml_chosen_when_installed():
+    strict = parser._strict_loader(yamlio.Loader)
+    if yaml.__with_libyaml__:
+        assert (yamlio.Loader, yamlio.Dumper) == (yaml.CSafeLoader, yaml.CSafeDumper)
+        assert issubclass(strict, yaml.CSafeLoader)
+    else:
+        assert (yamlio.Loader, yamlio.Dumper) == (yaml.SafeLoader, yaml.SafeDumper)
+    assert issubclass(strict, yamlio.Loader)
+
+
+def test_fig4_compose_golden(both, fig4_topology):
+    _np, plan = plan_deployment(fig4_topology, GenerationOptions())
+    golden = (DATA / "compose_fig4.yml").read_text()
+    assert both(lambda: tf.emit_compose(plan)) == (golden, golden)
+
+
+@pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
+def test_k8s_manifests_all_options(both, path):
+    topology = tf.validate(tf.parse_config(path.read_text()), family="v6")
+    _np, plan = plan_deployment(topology, GenerationOptions(**ALL_FLAGS))
+    chosen, pure = both(lambda: tf.emit_k8s(plan))
+    assert chosen == pure
+    # no scalar is folded: the runtime config sits on one line of its manifest
+    configmap = dict(chosen)["frontend-configmap.yaml"]
+    assert any(line.startswith("  config.json: ") for line in configmap.splitlines())
+
+
+@pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
+def test_parse_and_serialize_config(both, path):
+    text = path.read_text()
+    cfg, pure_cfg = both(lambda: tf.parse_config(text))
+    assert cfg == pure_cfg
+    doc, pure_doc = both(lambda: tf.serialize_config(cfg))
+    assert doc == pure_doc
+    assert both(lambda: tf.parse_config(doc)) == (cfg, cfg)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_configs(both, seed):
+    text = random_topology_text(random.Random(seed))
+    cfg, pure_cfg = both(lambda: tf.parse_config(text))
+    assert cfg == pure_cfg
+    doc, pure_doc = both(lambda: tf.serialize_config(cfg))
+    assert doc == pure_doc
+
+
+def test_duplicate_key_line(both):
+    text = "a:\n  type: service\n  port: 8000\n  port: 8001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+    assert both(lambda: _syntax_error_line(text)) == (4, 4)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a:\n  type: service\n  port: [8000\n  endpoints: []\n",
+        "a:\n  type: service\n  port: 8000\n endpoints: x\n",
+        'a:\n  type: "service\n',
+    ],
+    ids=["unclosed-flow", "bad-indent", "unclosed-quote"],
+)
+def test_syntax_error_line(both, text):
+    chosen, pure = both(lambda: _syntax_error_line(text))
+    assert chosen == pure
+    assert chosen is not None
