@@ -16,6 +16,7 @@ from .deploy import (
     DEFAULT_SERVICE_IMAGE,
     GenerationOptions,
     plan_deployment,
+    runtime_config_json,
 )
 from .errors import OptionConflictError, TopoforgeError
 from .k8s import emit_k8s
@@ -107,17 +108,17 @@ def cmd_generate(args) -> int:
     opts = _options(args)
     topo = _load(args)
     np, plan = plan_deployment(topo, opts)
-    if opts.target == "compose":
-        files = [(COMPOSE_FILE, emit_compose(plan))]
-    else:
+    if opts.target == "k8s":
+        # the manifests carry the configs, timer scripts and TLS material
         files = [(f"{MANIFEST_DIR}/{name}", text) for name, text in emit_k8s(plan)]
-    for c in plan.containers:
-        if c.role == "service":
-            payload = json.dumps(c.config_payload, indent=2, sort_keys=True) + "\n"
-            files.append((f"{CONFIG_DIR}/{c.name}.json", payload))
-        if c.timer_script:
-            files.append((f"{TIMER_DIR}/{c.name}.sh", c.timer_script))
-    files.extend(sorted(plan.materials.items()))
+    else:
+        files = [(COMPOSE_FILE, emit_compose(plan))]
+        for c in plan.containers:
+            if c.role == "service":
+                files.append((f"{CONFIG_DIR}/{c.name}.json", runtime_config_json(c)))
+            if c.timer_script:
+                files.append((f"{TIMER_DIR}/{c.name}.sh", c.timer_script))
+        files.extend(sorted(plan.materials.items()))
     out = Path(args.output)
     # one mkdir per output directory, not one per file
     for directory in sorted({rel.rpartition("/")[0] for rel, _ in files}):

@@ -6,6 +6,7 @@ the compose and kubernetes emitters serialize.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from . import tls
@@ -99,7 +100,12 @@ def setup_script(c: ContainerSpec) -> str:
     return "\n".join(lines)
 
 
-def collector_endpoint(np: NetPlan, opts: GenerationOptions) -> str:
+def runtime_config_json(c: ContainerSpec) -> str:
+    """The container's runtime config as the file both targets mount."""
+    return json.dumps(c.config_payload, indent=2, sort_keys=True) + "\n"
+
+
+def collector_endpoint(np: NetPlan) -> str:
     addr = np.address(COLLECTOR_NAME, BRIDGE_NET)
     host = f"[{addr}]" if np.family == "v6" else addr
     return f"http://{host}:{COLLECTOR_INGEST_PORT}/v1/traces"
@@ -184,7 +190,7 @@ def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> De
             spec.config_payload = _runtime_config(t, np, name, opts)
             spec.ports = [(np.host_ports[name], t.services[name].port)]
             if opts.tracing:
-                spec.environment["TRACE_COLLECTOR_ENDPOINT"] = collector_endpoint(np, opts)
+                spec.environment["TRACE_COLLECTOR_ENDPOINT"] = collector_endpoint(np)
             if authority is not None:
                 leaf = tls.generate_leaf(
                     authority, name, [a for _n, a in spec.attachments], opts.seed

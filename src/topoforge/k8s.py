@@ -1,18 +1,18 @@
 """Serialization of a DeploymentPlan to kubernetes manifests.
 
 Per entity: one Deployment, one stable-name Service, and one ConfigMap
-carrying the runtime config and timer script; the setup commands run inline
-in the pod's postStart hook.  The cluster target uses the flat pod network;
-per-link subnets are not reproduced there, impairments still apply to
-container egress interfaces.
+carrying the runtime config and timer script; per HTTPS service, one Secret
+carrying its TLS material.  The pod mounts the ConfigMap and the Secret as
+one projected volume at ``/etc/topoforge``, the TLS files under ``certs/``;
+the setup commands run inline in the pod's postStart hook.  The cluster
+target uses the flat pod network; per-link subnets are not reproduced there,
+impairments still apply to container egress interfaces.
 """
 
 from __future__ import annotations
 
-import json
-
 from . import yamlio
-from .deploy import ContainerSpec, DeploymentPlan, main_command, setup_script
+from .deploy import ContainerSpec, DeploymentPlan, main_command, runtime_config_json, setup_script
 
 CONFIG_MOUNT_DIR = "/etc/topoforge"
 
@@ -20,7 +20,7 @@ CONFIG_MOUNT_DIR = "/etc/topoforge"
 def _configmap(c: ContainerSpec) -> dict:
     data = {}
     if c.config_payload is not None:
-        data["config.json"] = json.dumps(c.config_payload, indent=2, sort_keys=True)
+        data["config.json"] = runtime_config_json(c)
     if c.timer_script:
         data["timers.sh"] = c.timer_script
     return {
@@ -31,11 +31,40 @@ def _configmap(c: ContainerSpec) -> dict:
     }
 
 
+def _secret_key(material: str) -> str:
+    return material.rpartition("/")[2]
+
+
+def _secret(c: ContainerSpec, materials: dict[str, bytes]) -> dict:
+    return {
+        "apiVersion": "v1",
+        "kind": "Secret",
+        "metadata": {"name": f"{c.name}-tls"},
+        "type": "Opaque",
+        "stringData": {
+            _secret_key(key): materials[key].decode() for key in sorted(c.tls_files.values())
+        },
+    }
+
+
+def _volume_sources(c: ContainerSpec) -> list[dict]:
+    sources: list[dict] = [{"configMap": {"name": f"{c.name}-config"}}]
+    if c.tls_files:
+        items = [
+            {"key": _secret_key(key), "path": mount.removeprefix(f"{CONFIG_MOUNT_DIR}/")}
+            for mount, key in sorted(c.tls_files.items())
+        ]
+        sources.append({"secret": {"name": f"{c.name}-tls", "items": items}})
+    return sources
+
+
 def _deployment(c: ContainerSpec) -> dict:
     container: dict = {"name": c.name, "image": c.image}
+    pod_spec: dict = {"containers": [container]}
     if c.role != "collector":
         container["command"] = ["sh", "-c", f"exec {main_command(c)}"]
         container["volumeMounts"] = [{"name": "config", "mountPath": CONFIG_MOUNT_DIR}]
+        pod_spec["volumes"] = [{"name": "config", "projected": {"sources": _volume_sources(c)}}]
     if c.ports:
         container["ports"] = [{"containerPort": cont} for _host, cont in c.ports]
     if c.environment:
@@ -48,13 +77,6 @@ def _deployment(c: ContainerSpec) -> dict:
         container["lifecycle"] = {
             "postStart": {"exec": {"command": ["sh", "-c", setup_script(c)]}}
         }
-    pod_spec: dict = {"containers": [container]}
-    if container.get("volumeMounts"):
-        pod_spec["volumes"] = [
-            {"name": "config", "configMap": {"name": f"{c.name}-config"}}
-        ]
-    else:
-        container.pop("volumeMounts", None)
     return {
         "apiVersion": "apps/v1",
         "kind": "Deployment",
@@ -95,6 +117,8 @@ def emit_k8s(plan: DeploymentPlan) -> list[tuple[str, str]]:
     out = []
     for c in plan.containers:
         out.append((f"{c.name}-configmap.yaml", yamlio.dump(_configmap(c))))
+        if c.tls_files:
+            out.append((f"{c.name}-secret.yaml", yamlio.dump(_secret(c, plan.materials))))
         out.append((f"{c.name}-deployment.yaml", yamlio.dump(_deployment(c))))
         out.append((f"{c.name}-service.yaml", yamlio.dump(_service(c))))
     return out

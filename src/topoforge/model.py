@@ -14,22 +14,7 @@ from .errors import PathSyntaxError, SchemaError
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
-RATE_UNITS = ("kbit", "mbit", "gbit")
-
 _RATE_BITS = {"kbit": 1_000, "mbit": 1_000_000, "gbit": 1_000_000_000}
-
-# Impairment option names that a timer may override.
-TIMED_OPTIONS = (
-    "mtu",
-    "buffer_size",
-    "rate",
-    "delay",
-    "jitter",
-    "loss",
-    "corrupt",
-    "duplicate",
-    "reorder",
-)
 
 # Options given as percentages, in netem parameter order.
 PERCENT_OPTIONS = ("loss", "corrupt", "duplicate", "reorder")
@@ -40,7 +25,7 @@ class Rate:
     """A link rate literal, e.g. ``100mbit``."""
 
     value: float
-    unit: str  # one of RATE_UNITS
+    unit: str  # a key of _RATE_BITS
 
     @property
     def bits_per_second(self) -> float:
@@ -65,6 +50,9 @@ def format_percent(x: float) -> str:
     return f"{format_number(x)}%"
 
 
+_RATE_RE = re.compile(rf"\s*(\d+(?:\.\d+)?)\s*({'|'.join(_RATE_BITS)})\s*")
+
+
 def parse_rate(value, *, entity=None, fieldname="rate") -> Rate:
     if isinstance(value, Rate):
         return value
@@ -72,7 +60,7 @@ def parse_rate(value, *, entity=None, fieldname="rate") -> Rate:
         raise SchemaError(
             f"rate must be a string like '100mbit', got {value!r}", entity, fieldname
         )
-    m = re.fullmatch(r"\s*(\d+(?:\.\d+)?)\s*(kbit|mbit|gbit)\s*", value)
+    m = _RATE_RE.fullmatch(value)
     if not m:
         raise SchemaError(f"cannot parse rate literal {value!r}", entity, fieldname)
     return Rate(float(m.group(1)), m.group(2))
@@ -114,6 +102,24 @@ def parse_strict_int(value, *, entity=None, fieldname=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"expected an integer, got {value!r}", entity, fieldname)
     return value
+
+
+# Each impairment option's (parse, format) pair: ``parse(value, entity=...,
+# fieldname=...)`` reads a document literal, ``format`` writes one back.
+OPTION_KINDS = {
+    "mtu": (parse_strict_int, lambda v: v),
+    "buffer_size": (parse_strict_int, lambda v: v),
+    "rate": (parse_rate, str),
+    "delay": (parse_duration_us, format_us),
+    "jitter": (parse_duration_us, format_us),
+    "loss": (parse_percent, format_percent),
+    "corrupt": (parse_percent, format_percent),
+    "duplicate": (parse_percent, format_percent),
+    "reorder": (parse_percent, format_percent),
+}
+
+# Impairment option names that a timer may override.
+TIMED_OPTIONS = tuple(OPTION_KINDS)
 
 
 @dataclass(frozen=True)
@@ -179,9 +185,6 @@ class ImpairmentSpec:
     reorder: float | None = None
     timers: tuple[TimerSpec, ...] = ()
 
-    def is_empty(self) -> bool:
-        return self == ImpairmentSpec()
-
     def option_value(self, option: str):
         return getattr(self, option)
 
@@ -213,15 +216,11 @@ class ServiceSpec:
     port: int
     endpoints: tuple[EndpointSpec, ...]
 
-    kind = "service"
-
 
 @dataclass(frozen=True)
 class RouterSpec:
     name: str
     connections: tuple[ConnectionSpec, ...]
-
-    kind = "router"
 
 
 EntitySpec = ServiceSpec | RouterSpec

@@ -186,6 +186,18 @@ def timer_boundaries(timers: tuple[TimerSpec, ...]) -> list[float]:
     return sorted(times)
 
 
+def impairment_timeline(spec: ImpairmentSpec) -> list[tuple[float, ImpairmentSpec]]:
+    """(start seconds, values in force) segments of a connection's options.
+
+    Piecewise constant: one segment from 0 and one from each timer
+    boundary, each holding the effective values with the timers stripped.
+    """
+    if not spec.timers:
+        return [(0.0, spec)]
+    times = sorted({0.0, *timer_boundaries(spec.timers)})
+    return [(t, effective_impairments(spec, t).replace_option("timers", ())) for t in times]
+
+
 # --- command rendering -------------------------------------------------------
 
 
@@ -239,12 +251,9 @@ def timer_events(
     timers: tuple[TimerSpec, ...], base: ImpairmentSpec, iface: str
 ) -> list[tuple[float, list[str]]]:
     """(time, commands) pairs realizing the timer schedule on one interface."""
-    base = base.replace_option("timers", ())
-    full = base.replace_option("timers", tuple(timers))
+    prev = base.replace_option("timers", ())
     events = []
-    prev = base
-    for t in timer_boundaries(timers):
-        now = effective_impairments(full, t).replace_option("timers", ())
+    for t, now in impairment_timeline(base.replace_option("timers", tuple(timers))):
         cmds = _change_commands(prev, now, iface)
         if cmds:
             events.append((t, cmds))

@@ -15,7 +15,7 @@ from . import yamlio
 from .errors import ConfigSyntaxError, SchemaError
 from .model import (
     NAME_RE,
-    PERCENT_OPTIONS,
+    OPTION_KINDS,
     TIMED_OPTIONS,
     ConnectionSpec,
     EndpointSpec,
@@ -24,12 +24,7 @@ from .model import (
     ServiceSpec,
     TimerSpec,
     TopologyConfig,
-    format_percent,
-    format_us,
-    parse_duration_us,
     parse_path,
-    parse_percent,
-    parse_rate,
     parse_strict_int,
 )
 
@@ -191,21 +186,11 @@ def _parse_connection(entity: str, body, service_side: bool) -> ConnectionSpec:
 
 
 def _parse_options(entity: str, body: dict) -> ImpairmentSpec:
-    kwargs = {}
-    if "mtu" in body:
-        kwargs["mtu"] = parse_strict_int(body["mtu"], entity=entity, fieldname="mtu")
-    if "buffer_size" in body:
-        kwargs["buffer_size"] = parse_strict_int(
-            body["buffer_size"], entity=entity, fieldname="buffer_size"
-        )
-    if "rate" in body:
-        kwargs["rate"] = parse_rate(body["rate"], entity=entity)
-    for key in ("delay", "jitter"):
-        if key in body:
-            kwargs[key] = parse_duration_us(body[key], entity=entity, fieldname=key)
-    for key in PERCENT_OPTIONS:
-        if key in body:
-            kwargs[key] = parse_percent(body[key], entity=entity, fieldname=key)
+    kwargs = {
+        key: parse(body[key], entity=entity, fieldname=key)
+        for key, (parse, _fmt) in OPTION_KINDS.items()
+        if key in body
+    }
     timers = body.get("timers", [])
     if timers is None:
         timers = []
@@ -213,16 +198,6 @@ def _parse_options(entity: str, body: dict) -> ImpairmentSpec:
         raise SchemaError("timers must be a list", entity, "timers")
     kwargs["timers"] = tuple(_parse_timer(entity, t) for t in timers)
     return ImpairmentSpec(**kwargs)
-
-
-def _parse_timer_value(entity: str, option: str, value):
-    if option in ("mtu", "buffer_size"):
-        return parse_strict_int(value, entity=entity, fieldname="newValue")
-    if option == "rate":
-        return parse_rate(value, entity=entity, fieldname="newValue")
-    if option in ("delay", "jitter"):
-        return parse_duration_us(value, entity=entity, fieldname="newValue")
-    return parse_percent(value, entity=entity, fieldname="newValue")
 
 
 def _parse_timer(entity: str, body) -> TimerSpec:
@@ -247,7 +222,8 @@ def _parse_timer(entity: str, body) -> TimerSpec:
         raise SchemaError("timer start must be >= 0", entity, "start")
     if duration <= 0:
         raise SchemaError("timer duration must be > 0", entity, "duration")
-    new_value = _parse_timer_value(entity, option, body["newValue"])
+    parse, _fmt = OPTION_KINDS[option]
+    new_value = parse(body["newValue"], entity=entity, fieldname="newValue")
     return TimerSpec(option=option, start=float(start), duration=float(duration), new_value=new_value)
 
 
@@ -255,42 +231,22 @@ def _parse_timer(entity: str, body) -> TimerSpec:
 
 
 def _options_to_dict(opt: ImpairmentSpec) -> dict:
-    out = {}
-    if opt.mtu is not None:
-        out["mtu"] = opt.mtu
-    if opt.buffer_size is not None:
-        out["buffer_size"] = opt.buffer_size
-    if opt.rate is not None:
-        out["rate"] = str(opt.rate)
-    if opt.delay is not None:
-        out["delay"] = format_us(opt.delay)
-    if opt.jitter is not None:
-        out["jitter"] = format_us(opt.jitter)
-    for key in PERCENT_OPTIONS:
-        value = getattr(opt, key)
-        if value is not None:
-            out[key] = format_percent(value)
+    out = {
+        key: fmt(getattr(opt, key))
+        for key, (_parse, fmt) in OPTION_KINDS.items()
+        if getattr(opt, key) is not None
+    }
     if opt.timers:
         out["timers"] = [
             {
                 "option": t.option,
                 "start": t.start if t.start != int(t.start) else int(t.start),
                 "duration": t.duration if t.duration != int(t.duration) else int(t.duration),
-                "newValue": _timer_value_literal(t),
+                "newValue": OPTION_KINDS[t.option][1](t.new_value),
             }
             for t in opt.timers
         ]
     return out
-
-
-def _timer_value_literal(t: TimerSpec):
-    if t.option in ("mtu", "buffer_size"):
-        return t.new_value
-    if t.option == "rate":
-        return str(t.new_value)
-    if t.option in ("delay", "jitter"):
-        return format_us(t.new_value)
-    return format_percent(t.new_value)
 
 
 def config_to_dict(cfg: TopologyConfig) -> dict:

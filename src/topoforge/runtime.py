@@ -122,6 +122,7 @@ class SpanExporter:
         self.sink_file = sink_file
         self.dropped = 0
         self._queue: deque[SpanRecord] = deque()
+        self._delivering = False  # a drained batch is still being written
         self._maxlen = maxlen
         self._lock = threading.Lock()
         self._wake = threading.Event()
@@ -141,6 +142,7 @@ class SpanExporter:
         with self._lock:
             batch = list(self._queue)
             self._queue.clear()
+            self._delivering = bool(batch)
         return batch
 
     def _run(self):
@@ -150,6 +152,8 @@ class SpanExporter:
             batch = self._drain()
             if batch:
                 self._deliver(batch)
+                with self._lock:
+                    self._delivering = False
             if self._closed and not self._queue:
                 return
 
@@ -177,10 +181,11 @@ class SpanExporter:
                 self.dropped += len(batch)
 
     def flush(self, timeout: float = 2.0):
+        """Wait until every exported span has been delivered (or ``timeout``)."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._lock:
-                empty = not self._queue
+                empty = not self._queue and not self._delivering
             if empty:
                 return
             self._wake.set()

@@ -25,7 +25,7 @@ from functools import partial
 
 from .errors import WorkloadUnreachableError
 from .model import ImpairmentSpec
-from .netplan import effective_impairments, timer_boundaries
+from .netplan import impairment_timeline, timer_window
 from .validation import ResolvedPath, ValidatedTopology, link_key
 
 US = 1.0
@@ -145,11 +145,8 @@ class _LinkDir:
     def __init__(self, world: "SimWorld", spec: ImpairmentSpec):
         self.world = world
         self.rng = world.rng
-        # piecewise-constant parameter timeline (timer semantics)
-        bounds = timer_boundaries(spec.timers)
-        self.segments = [(0.0, effective_impairments(spec, 0.0))]
-        for t in bounds:
-            self.segments.append((t * S, effective_impairments(spec, t)))
+        # piecewise-constant parameter timeline (timer semantics), in µs
+        self.segments = [(t * S, values) for t, values in impairment_timeline(spec)]
         self.seg_idx = 0
         self.busy_until = 0.0
         self.queued = 0
@@ -439,15 +436,18 @@ class SimWorld:
         model.on_message(now, msg)
 
     def link_param(self, a: str, b: str, option: str, t_seconds: float):
-        """Sampled link parameter value at a virtual time (timers applied)."""
-        edge = self.topology.link_graph[link_key(a, b)]
-        return effective_impairments(edge.impairments, t_seconds).option_value(option)
+        """Value of an option on the a->b link direction at a virtual time,
+        read from the segments that direction transmits with."""
+        segments = self.links[link_key(a, b)][(a, b)].segments
+        t_us = t_seconds * S
+        values = next((v for start, v in reversed(segments) if start <= t_us), segments[0][1])
+        return values.option_value(option)
 
     def timer_timeline(self, horizon_s: float) -> list[tuple[float, str, str]]:
         events = []
         for key, edge in sorted(self.topology.link_graph.items()):
             for tm in edge.impairments.timers:
-                for t in (tm.start, tm.start + tm.duration):
+                for t in timer_window(tm.start, tm.duration):
                     if t <= horizon_s:
                         events.append((t, f"{key[0]}<->{key[1]}", tm.option))
         return sorted(events)

@@ -7,6 +7,7 @@ and runs capacity checks for the chosen address family.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -110,10 +111,6 @@ class LinkEdge:
     impairments: ImpairmentSpec = field(default_factory=ImpairmentSpec)
     # name of the entity whose connection declared each option (for iface attribution)
     declared_by: dict = field(default_factory=dict)
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return link_key(self.a, self.b)
 
 
 @dataclass
@@ -226,7 +223,7 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
                     "connections",
                 )
 
-    call_graph = _build_call_graph(cfg, path_table)
+    call_graph = [((rp.service, rp.entrypoint), (rp.terminal, rp.url)) for rp in path_table]
     _reject_cycles(call_graph)
     link_graph = _build_link_graph(path_table, routers, matched)
 
@@ -320,43 +317,16 @@ def _router_connection_for(rtr: RouterSpec, next_hop: str) -> int | None:
     return None
 
 
-def _build_call_graph(cfg, path_table):
-    edges = []
-    for rp in path_table:
-        edges.append(((rp.service, rp.entrypoint), (rp.terminal, rp.url)))
-    return edges
-
-
 def _reject_cycles(call_graph):
-    adj: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for src, dst in call_graph:
-        adj.setdefault(src, []).append(dst)
-        adj.setdefault(dst, [])
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in adj}
-    for start in adj:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(adj[start]))]
-        color[start] = GRAY
-        trail = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    i = trail.index(nxt)
-                    raise CyclicCallGraphError(trail[i:] + [nxt])
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    trail.append(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                trail.pop()
-                stack.pop()
+    sorter = graphlib.TopologicalSorter()
+    for caller, callee in call_graph:
+        sorter.add(callee, caller)  # a callee comes after its caller
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        # each node of the reported cycle is a predecessor of the next one,
+        # so it reads in call order
+        raise CyclicCallGraphError(exc.args[1]) from None
 
 
 def _merge_impairments(edge: LinkEdge, opt: ImpairmentSpec, declarer: str):

@@ -1,0 +1,76 @@
+"""The command-line entry point: files written, exit statuses."""
+
+import json
+from pathlib import Path
+
+import pytest
+import yaml
+
+from topoforge import cli
+
+DATA = Path(__file__).parent / "data"
+FIG4 = str(DATA / "fig4.yml")
+
+
+@pytest.fixture(autouse=True)
+def default_images(monkeypatch):
+    for var in ("TOPOFORGE_SERVICE_IMAGE", "TOPOFORGE_ROUTER_IMAGE", "TOPOFORGE_COLLECTOR_IMAGE"):
+        monkeypatch.delenv(var, raising=False)
+
+
+def _files(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def test_generate_compose(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["generate", FIG4, "--output", str(out)]) == 0
+    assert (out / "compose.yml").read_text() == (DATA / "compose_fig4.yml").read_text()
+    assert _files(out) == {
+        "compose.yml",
+        "configs/frontend.json",
+        "configs/db.json",
+        "configs/payment.json",
+        "timers/frontend.sh",
+    }
+    config = json.loads((out / "configs/frontend.json").read_text())
+    assert config["name"] == "frontend"
+    assert (out / "timers/frontend.sh").read_text().startswith("#!/bin/sh\n")
+    assert f"wrote {out / 'compose.yml'}" in capsys.readouterr().out
+
+
+def test_generate_k8s_writes_only_manifests(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["generate", FIG4, "--target", "k8s", "--https", "--output", str(out)]) == 0
+    files = _files(out)
+    assert {f.partition("/")[0] for f in files} == {"manifests"}
+    kinds: dict[str, set[str]] = {}
+    for rel in files:
+        doc = yaml.safe_load((out / rel).read_text())
+        kinds.setdefault(doc["kind"], set()).add(doc["metadata"]["name"])
+    assert kinds["Secret"] == {"frontend-tls", "db-tls", "payment-tls"}
+    assert kinds["Deployment"] == {"frontend", "r1", "db", "payment"}
+
+
+@pytest.mark.parametrize("command", [["validate"], ["inspect"]])
+def test_read_only_commands(command, capsys):
+    assert cli.main([*command, FIG4]) == 0
+    assert capsys.readouterr().out
+
+
+def test_simulate_json(capsys):
+    assert cli.main(["simulate", FIG4, "--duration", "0.05", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["completed"] > 0
+    assert report["failed"] == 0
+
+
+def test_ioam_needs_v6(tmp_path, capsys):
+    assert cli.main(["generate", FIG4, "--ioam", "--output", str(tmp_path / "out")]) == 2
+    assert "ioam requires the v6 address family" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_config(tmp_path, capsys):
+    assert cli.main(["validate", str(tmp_path / "absent.yml")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -109,6 +109,30 @@ class TestKubernetes:
         cm = yaml.safe_load(files["frontend-configmap.yaml"])
         assert set(cm["data"]) == {"config.json", "timers.sh"}
 
+    def test_https_pods_mount_their_tls_files(self, fig4_topology):
+        _np, plan = _plan(fig4_topology, target="k8s", scheme="https")
+        files = dict(tf.emit_k8s(plan))
+        for name in ("frontend", "db", "payment"):
+            secret = yaml.safe_load(files[f"{name}-secret.yaml"])
+            dep = yaml.safe_load(files[f"{name}-deployment.yaml"])
+            pod = dep["spec"]["template"]["spec"]
+            (mount,) = pod["containers"][0]["volumeMounts"]
+            (volume,) = pod["volumes"]
+            assert volume["name"] == mount["name"]
+            sources = volume["projected"]["sources"]
+            assert sources[0] == {"configMap": {"name": f"{name}-config"}}
+            assert sources[1]["secret"]["name"] == secret["metadata"]["name"]
+            mounted = {
+                f"{mount['mountPath']}/{item['path']}": secret["stringData"][item["key"]]
+                for item in sources[1]["secret"]["items"]
+            }
+            tls = plan.container(name).config_payload["tls"]
+            assert set(mounted) == set(tls.values())
+            assert mounted[tls["cert"]].encode() == plan.materials[f"certs/{name}.crt"]
+            assert mounted[tls["key"]].encode() == plan.materials[f"certs/{name}.key"]
+            assert mounted[tls["ca"]].encode() == plan.materials["certs/ca.crt"]
+        assert "r1-secret.yaml" not in files
+
     def test_router_service_headless(self, fig4_topology):
         _np, plan = _plan(fig4_topology, target="k8s")
         svc = yaml.safe_load(dict(tf.emit_k8s(plan))["r1-service.yaml"])

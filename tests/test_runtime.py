@@ -212,6 +212,28 @@ class TestSpanExporter:
         del ex._drain
         ex.close()
 
+    def test_flush_waits_for_batch_in_delivery(self, tmp_path):
+        sink = tmp_path / "out.ndjson"
+        ex = SpanExporter(sink_file=str(sink))
+        deliver = ex._deliver
+
+        def slow_deliver(batch):
+            time.sleep(0.3)
+            deliver(batch)
+
+        ex._deliver = slow_deliver
+        ex.export(SpanRecord("a" * 32, "b" * 16, None, "s0", 0, 1))
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            with ex._lock:
+                if not ex._queue:
+                    break
+            time.sleep(0.005)
+        # the worker has drained the queue but is still writing the batch
+        ex.flush()
+        assert [s["name"] for s in _read_spans(sink)] == ["s0"]
+        ex.close()
+
     def test_failed_delivery_counted(self):
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))

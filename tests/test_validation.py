@@ -153,6 +153,22 @@ class TestCallGraph:
             make_topology(text)
         assert len(ei.value.cycle) >= 3
 
+    def test_cycle_reported_in_call_order(self):
+        def svc(name, port, callee):
+            return (
+                f"{name}:\n  type: service\n  port: {port}\n  endpoints:\n"
+                "    - entrypoint: /\n      psize: 1\n      connections:\n"
+                f"        - path: {callee}\n          url: /\n"
+            )
+
+        text = svc("a", 8000, "b") + svc("b", 8001, "c") + svc("c", 8002, "a")
+        with pytest.raises(CyclicCallGraphError) as ei:
+            make_topology(text)
+        cycle = [name for name, _ep in ei.value.cycle]
+        assert cycle[0] == cycle[-1] and len(cycle) == 4
+        calls = {("a", "b"), ("b", "c"), ("c", "a")}
+        assert set(zip(cycle, cycle[1:])) == calls
+
     def test_self_loop_via_other_entrypoint(self):
         text = (
             "a:\n  type: service\n  port: 8000\n  endpoints:\n"
