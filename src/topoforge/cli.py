@@ -159,6 +159,16 @@ def cmd_inspect(args) -> int:
     print("host ports:")
     for svc, port in np.host_ports.items():
         print(f"  {svc:<16} {port}")
+    print("setup commands:")
+    for entity, cmds in np.setup.items():
+        print(f"  {entity}:")
+        for cmd in cmds:
+            print(f"    {cmd}")
+    print("timer scripts:")
+    for entity, script in np.timer_scripts.items():
+        print(f"  {entity}:")
+        for line in script.splitlines():
+            print(f"    {line}")
     return 0
 
 

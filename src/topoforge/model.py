@@ -8,7 +8,7 @@ entities lives in :mod:`topoforge.validation`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import PathSyntaxError, SchemaError
 
@@ -189,9 +189,30 @@ class ImpairmentSpec:
         return getattr(self, option)
 
     def replace_option(self, option: str, value) -> "ImpairmentSpec":
-        from dataclasses import replace
-
         return replace(self, **{option: value})
+
+
+def merge_declarations(
+    first: ImpairmentSpec, later: ImpairmentSpec
+) -> tuple[ImpairmentSpec, list[str], list[str]]:
+    """Merge a later declaration of options for the same link or interface.
+
+    The first declaration of each option, and of the timer list, wins.
+    Returns the merged spec, the options taken from ``later``, and the
+    options that ``later`` sets to a different value and that are dropped.
+    """
+    taken: dict[str, object] = {}
+    dropped: list[str] = []
+    for name in TIMED_OPTIONS + ("timers",):
+        value = getattr(later, name)
+        if value is None or value == ():
+            continue
+        current = getattr(first, name)
+        if current is None or current == ():
+            taken[name] = value
+        elif current != value:
+            dropped.append(name)
+    return (replace(first, **taken) if taken else first), list(taken), dropped
 
 
 @dataclass(frozen=True)

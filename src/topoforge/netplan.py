@@ -18,6 +18,7 @@ from .model import (
     format_number,
     format_percent,
     format_us,
+    merge_declarations,
 )
 from .validation import ValidatedTopology, check_plan_capacity, link_key
 
@@ -53,6 +54,9 @@ class NetPlan:
     timer_scripts: dict[str, str] = field(default_factory=dict)
     # (entity, subnet name) -> in-container interface name
     iface_names: dict[tuple[str, str], str] = field(default_factory=dict)
+    # entity -> interface -> options shaping that interface's egress, filled
+    # by plan_routes
+    egress: dict[str, dict[str, ImpairmentSpec]] = field(default_factory=dict)
     # indexes over the above, filled by allocate_networks
     _by_name: dict[str, Subnet] = field(default_factory=dict, repr=False)
     _by_link: dict[tuple[str, str], Subnet] = field(default_factory=dict, repr=False)
@@ -311,15 +315,12 @@ def plan_routes(t: ValidatedTopology, np: NetPlan) -> NetPlan:
         if rname in t.referenced_routers:
             setup[rname].append(_forward_cmd(np.family))
 
-    # impairments, in declaration order of the declaring entity
-    for name in t.entities:
-        for conn, first_hop in _declared_connections(t, name):
-            iface = _iface_toward(np, name, first_hop)
-            if iface is None:
-                continue  # unreferenced router connection: no subnet exists
-            for cmd in render_impairments(conn.options, iface):
-                if cmd not in setup[name]:
-                    setup[name].append(cmd)
+    # impairments: one MTU and one netem per interface, in the declaring
+    # entity's declaration order
+    np.egress = _egress_options(t, np)
+    for name, by_iface in np.egress.items():
+        for iface, opt in by_iface.items():
+            setup[name].extend(render_impairments(opt, iface))
 
     # (entity, destination address) -> gateway; a second gateway for the same
     # destination cannot be realized with destination-based routing
@@ -357,14 +358,26 @@ def _addr_on(np: NetPlan, entity: str, a: str, b: str) -> str:
     return np.address(entity, np.subnet_of_pair(a, b).name)
 
 
-def _declared_connections(t: ValidatedTopology, name: str):
-    """(connection, first hop) pairs declared by one entity, in order."""
-    if name in t.services:
-        conns = [conn for ep in t.services[name].endpoints for conn in ep.connections]
-    else:
-        conns = t.routers[name].connections
-    for conn in conns:
-        yield conn, conn.path.hops[0]
+def _egress_options(t: ValidatedTopology, np: NetPlan) -> dict[str, dict[str, ImpairmentSpec]]:
+    """entity -> interface -> the options of the entity's connections out of
+    that interface, merged as the link graph merges them: the first
+    declaration of each option, and of the timer list, wins."""
+    egress = {}
+    for name in t.entities:
+        if name in t.services:
+            conns = [conn for ep in t.services[name].endpoints for conn in ep.connections]
+        else:
+            conns = t.routers[name].connections
+        by_iface: dict[str, ImpairmentSpec] = {}
+        for conn in conns:
+            iface = _iface_toward(np, name, conn.path.hops[0])
+            if iface is None:
+                continue  # unreferenced router connection: no subnet exists
+            prev = by_iface.get(iface)
+            by_iface[iface] = conn.options if prev is None else merge_declarations(prev, conn.options)[0]
+        if by_iface:
+            egress[name] = by_iface
+    return egress
 
 
 def _iface_toward(np: NetPlan, name: str, first_hop: str) -> str | None:
@@ -377,16 +390,15 @@ def _iface_toward(np: NetPlan, name: str, first_hop: str) -> str | None:
 
 
 def plan_timer_scripts(t: ValidatedTopology, np: NetPlan) -> NetPlan:
-    """Render one combined timer script per entity that declares timers."""
-    for name in t.entities:
-        events: list[tuple[float, list[str]]] = []
-        for conn, first_hop in _declared_connections(t, name):
-            if not conn.options.timers:
-                continue
-            iface = _iface_toward(np, name, first_hop)
-            if iface is None:
-                continue
-            events.extend(timer_events(conn.options.timers, conn.options, iface))
+    """Render one combined timer script per entity whose interfaces carry
+    timers, from the egress options that plan_routes merged."""
+    for name, by_iface in np.egress.items():
+        events = [
+            event
+            for iface, opt in by_iface.items()
+            if opt.timers
+            for event in timer_events(opt.timers, opt, iface)
+        ]
         script = _script_from_events(events)
         if script:
             np.timer_scripts[name] = script

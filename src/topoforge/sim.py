@@ -5,6 +5,12 @@ Virtual time, single-threaded event loop, seeded randomness: identical
 the runtime's sequential-downstream semantics; links model the impairment
 options.
 
+Events: a packet costs one per link it crosses and one per service that
+handles it.  A link decides a packet's departure, loss, corruption,
+duplication and delay when the packet is handed off, and schedules only its
+arrival; a router hands a packet on when its processing ends, with no event
+of its own.  Each exchange timer is one more event.
+
 Reliability is per exchange (one request/response round trip).  Each
 exchange arms one timer at min(now + rto, deadline); when it fires the
 exchange either retransmits and re-arms, or expires.  The terminal service
@@ -20,6 +26,8 @@ import hashlib
 import heapq
 import random
 import struct
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -135,54 +143,48 @@ class Message:
 
 
 class _LinkDir:
-    """One direction of a link: serialization, latency, stochastic impairments."""
+    """One direction of a link: serialization, latency, stochastic impairments.
+
+    Deciding a packet's fate at hand-off is exact because one entity feeds
+    each direction, in non-decreasing hand-off time: a service at
+    ``world.now``, a router at its strictly increasing ``busy_until``.
+    """
 
     __slots__ = (
-        "world", "rng", "segments", "seg_idx", "busy_until", "queued",
+        "world", "rng", "boundaries", "values", "busy_until", "pending",
         "tx", "rx", "dropped", "corrupted",
     )
 
     def __init__(self, world: "SimWorld", spec: ImpairmentSpec):
         self.world = world
         self.rng = world.rng
-        # piecewise-constant parameter timeline (timer semantics), in µs
-        self.segments = [(t * S, values) for t, values in impairment_timeline(spec)]
-        self.seg_idx = 0
+        # timer timeline in µs: values[i] holds from boundaries[i - 1] on
+        timeline = impairment_timeline(spec)
+        self.boundaries = [t * S for t, _values in timeline[1:]]
+        self.values = [values for _t, values in timeline]
         self.busy_until = 0.0
-        self.queued = 0
+        self.pending: deque[float] = deque()  # departure times of queued packets
         self.tx = self.rx = self.dropped = self.corrupted = 0
 
     def params_at(self, now_us: float) -> ImpairmentSpec:
-        # event times are non-decreasing, so a forward-moving index suffices;
-        # but retransmissions may probe equal times, so re-scan from current
-        i = self.seg_idx
-        while i + 1 < len(self.segments) and self.segments[i + 1][0] <= now_us:
-            i += 1
-        self.seg_idx = i
-        return self.segments[i][1]
+        return self.values[bisect_right(self.boundaries, now_us)]
 
     def transmit(self, msg: Message, now: float, deliver):
         eff = self.params_at(now)
         self.tx += msg.size
+        depart = now
         if eff.rate is not None:
+            pending = self.pending
+            while pending and pending[0] <= now:
+                pending.popleft()
             limit = eff.buffer_size if eff.buffer_size is not None else self.world.params.queue_limit
-            if self.queued >= limit:
+            if len(pending) >= limit:
                 self.dropped += msg.size
                 return
-            ser = msg.size * 8 / eff.rate.bits_per_second * S
-            depart = max(now, self.busy_until) + ser
+            depart = max(now, self.busy_until) + msg.size * 8 / eff.rate.bits_per_second * S
             self.busy_until = depart
-            self.queued += 1
-            self.world.schedule_at(depart, self._departed, msg, deliver)
-        else:
-            self._release(msg, now, deliver)
-
-    def _departed(self, now: float, msg: Message, deliver):
-        self.queued -= 1
-        self._release(msg, now, deliver)
-
-    def _release(self, msg: Message, now: float, deliver):
-        eff = self.params_at(now)
+            pending.append(depart)
+            eff = self.params_at(depart)
         if eff.loss is not None and self.rng.random() * 100.0 < eff.loss:
             self.dropped += msg.size
             return
@@ -199,10 +201,10 @@ class _LinkDir:
             if eff.reorder is not None and self.rng.random() * 100.0 < eff.reorder:
                 latency = 0.0
         dup = eff.duplicate is not None and self.rng.random() * 100.0 < eff.duplicate
-        self.world.schedule_at(now + latency, self._arrive, msg, deliver)
+        self.world.schedule_at(depart + latency, self._arrive, msg, deliver)
         if dup:
             self.tx += msg.size
-            self.world.schedule_at(now + latency, self._arrive, replace(msg), deliver)
+            self.world.schedule_at(depart + latency, self._arrive, replace(msg), deliver)
 
     def _arrive(self, now: float, msg: Message, deliver):
         if msg.corrupted:
@@ -349,12 +351,9 @@ class _RouterModel:
         self.rx = self.tx = 0
 
     def on_message(self, now: float, msg: Message):
-        start = max(now, self.busy_until)
-        self.busy_until = start + self.proc
-        self.world.schedule_at(self.busy_until, self._forward, msg)
-
-    def _forward(self, now: float, msg: Message):
-        self.world.forward(msg, now)
+        # hand off when processing ends; the link schedules the arrival
+        self.busy_until = max(now, self.busy_until) + self.proc
+        self.world.forward(msg, self.busy_until)
 
 
 class SimWorld:
@@ -436,12 +435,8 @@ class SimWorld:
         model.on_message(now, msg)
 
     def link_param(self, a: str, b: str, option: str, t_seconds: float):
-        """Value of an option on the a->b link direction at a virtual time,
-        read from the segments that direction transmits with."""
-        segments = self.links[link_key(a, b)][(a, b)].segments
-        t_us = t_seconds * S
-        values = next((v for start, v in reversed(segments) if start <= t_us), segments[0][1])
-        return values.option_value(option)
+        """Value of an option on the a->b link direction at a virtual time."""
+        return self.links[link_key(a, b)][(a, b)].params_at(t_seconds * S).option_value(option)
 
     def timer_timeline(self, horizon_s: float) -> list[tuple[float, str, str]]:
         events = []

@@ -25,8 +25,8 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    OPTION_KINDS,
     PERCENT_OPTIONS,
-    TIMED_OPTIONS,
     ConnectionSpec,
     EntitySpec,
     ImpairmentSpec,
@@ -34,6 +34,8 @@ from .model import (
     ServiceSpec,
     TimerSpec,
     TopologyConfig,
+    format_number,
+    merge_declarations,
 )
 
 # Address-family capacity limits for the single-host deployment target.
@@ -225,7 +227,7 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
 
     call_graph = [((rp.service, rp.entrypoint), (rp.terminal, rp.url)) for rp in path_table]
     _reject_cycles(call_graph)
-    link_graph = _build_link_graph(path_table, routers, matched)
+    link_graph = _build_link_graph(path_table, routers, matched, warnings)
 
     direct, routed = set(), set()
     paths_by_service = {
@@ -329,19 +331,31 @@ def _reject_cycles(call_graph):
         raise CyclicCallGraphError(exc.args[1]) from None
 
 
-def _merge_impairments(edge: LinkEdge, opt: ImpairmentSpec, declarer: str):
-    for name in TIMED_OPTIONS + ("timers",):
-        value = getattr(opt, name)
-        if value is None or (name == "timers" and not value):
-            continue
-        current = getattr(edge.impairments, name)
-        if current is None or (name == "timers" and not current):
-            edge.impairments = edge.impairments.replace_option(name, value)
-            edge.declared_by[name] = declarer
-        # identical re-declarations are harmless; conflicts keep the first
+def _format_option(name: str, value) -> str:
+    if name == "timers":
+        return "[" + ", ".join(
+            f"{tm.option} {_format_option(tm.option, tm.new_value)} "
+            f"from {format_number(tm.start)}s for {format_number(tm.duration)}s"
+            for tm in value
+        ) + "]"
+    return str(OPTION_KINDS[name][1](value))
 
 
-def _build_link_graph(path_table, routers, matched):
+def _merge_impairments(edge: LinkEdge, opt: ImpairmentSpec, declarer: str, warnings: list[str]):
+    merged, taken, dropped = merge_declarations(edge.impairments, opt)
+    for name in dropped:
+        warnings.append(
+            f"link '{edge.a}<->{edge.b}': keeping {name} "
+            f"{_format_option(name, getattr(edge.impairments, name))} "
+            f"declared by '{edge.declared_by[name]}', dropping "
+            f"{_format_option(name, getattr(opt, name))} declared by '{declarer}'"
+        )
+    for name in taken:
+        edge.declared_by[name] = declarer
+    edge.impairments = merged
+
+
+def _build_link_graph(path_table, routers, matched, warnings):
     links: dict[tuple[str, str], LinkEdge] = {}
 
     def edge(a, b):
@@ -350,11 +364,15 @@ def _build_link_graph(path_table, routers, matched):
             links[key] = LinkEdge(a=key[0], b=key[1])
         return links[key]
 
+    merged = set()
     for rp in path_table:
         # the declaring service's options govern its first adjacent pair
-        _merge_impairments(edge(rp.hops[0], rp.hops[1]), rp.options, rp.hops[0])
-        # each router's matched connection governs the pair toward its next hop
+        _merge_impairments(edge(rp.hops[0], rp.hops[1]), rp.options, rp.hops[0], warnings)
+        # each router's matched connection governs the pair toward its next
+        # hop; merging it again for a later path would only repeat warnings
         for router, nxt in zip(rp.hops[1:-1], rp.hops[2:]):
-            conn = routers[router].connections[matched[(router, nxt)]]
-            _merge_impairments(edge(router, nxt), conn.options, router)
+            if (router, nxt) not in merged:
+                merged.add((router, nxt))
+                conn = routers[router].connections[matched[(router, nxt)]]
+                _merge_impairments(edge(router, nxt), conn.options, router, warnings)
     return links

@@ -106,6 +106,22 @@ def delay_chain_config(delay_us: float) -> str:
     )
 
 
+def shared_first_hop_config() -> str:
+    """One service calling db and cache through r1 with a different rate on
+    each connection and a rate timer on the second."""
+    return (
+        "front:\n  type: service\n  port: 9000\n  endpoints:\n"
+        "    - entrypoint: /\n      psize: 128\n      connections:\n"
+        "        - path: r1->db\n          url: /\n          rate: 100mbit\n"
+        "        - path: r1->cache\n          url: /\n          rate: 10mbit\n"
+        "          timers:\n            - option: rate\n              start: 5\n"
+        "              duration: 10\n              newValue: 1gbit\n"
+        "r1:\n  type: router\n  connections:\n    - path: db\n    - path: cache\n"
+        "db:\n  type: service\n  port: 9001\n  endpoints:\n    - entrypoint: /\n      psize: 128\n"
+        "cache:\n  type: service\n  port: 9002\n  endpoints:\n    - entrypoint: /\n      psize: 128\n"
+    )
+
+
 def random_topology_text(rng: random.Random) -> str:
     """A random valid topology: services call later services through routers.
 

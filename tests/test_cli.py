@@ -58,6 +58,14 @@ def test_read_only_commands(command, capsys):
     assert capsys.readouterr().out
 
 
+def test_inspect_prints_routes_and_commands(capsys):
+    assert cli.main(["inspect", FIG4]) == 0
+    out = capsys.readouterr().out
+    assert "ip route add 10.0.4.2/32 via 10.0.8.3" in out
+    assert "tc qdisc add dev eth1 root netem rate 100mbit" in out
+    assert "tc qdisc change dev eth1 root netem rate 1gbit" in out
+
+
 def test_simulate_json(capsys):
     assert cli.main(["simulate", FIG4, "--duration", "0.05", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

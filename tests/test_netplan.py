@@ -17,7 +17,7 @@ from topoforge.netplan import (
     timer_window,
 )
 
-from conftest import delay_chain_config, make_topology
+from conftest import delay_chain_config, make_topology, shared_first_hop_config
 
 
 class TestAllocation:
@@ -262,3 +262,22 @@ class TestDelayChain:
         np = plan_network(make_topology(delay_chain_config(500)))
         assert "tc qdisc add dev eth0 root netem delay 500us" in np.setup["a"]
         assert any("netem delay 500us" in c for c in np.setup["r"])
+
+
+class TestOneNetemPerInterface:
+    def test_connections_through_one_first_hop_share_one_netem(self):
+        np = plan_network(make_topology(shared_first_hop_config()))
+        for name, cmds in np.setup.items():
+            roots = [c.split()[4] for c in cmds if c.startswith("tc qdisc add dev ")]
+            assert len(roots) == len(set(roots)), (name, cmds)
+        # the first declaration of each option and of the timer list wins,
+        # as on the simulator's link
+        assert "tc qdisc add dev eth0 root netem rate 100mbit" in np.setup["front"]
+        assert np.timer_scripts["front"] == (
+            "#!/bin/sh\n"
+            "# scheduled impairment overrides\n"
+            "sleep 5\n"
+            "tc qdisc change dev eth0 root netem rate 1gbit\n"
+            "sleep 10\n"
+            "tc qdisc change dev eth0 root netem rate 100mbit\n"
+        )

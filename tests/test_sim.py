@@ -262,3 +262,48 @@ class TestReliability:
             assert world.exchanges == {}
             heap_left.append(len(world._heap))
         assert heap_left[1] <= heap_left[0]
+
+
+class TestEventModel:
+    def test_events_per_request(self, fig4_topology):
+        # per request: 4 link arrivals, 3 service handlings, 2 exchange timers
+        world = build_sim(fig4_topology, seed=0)
+        w = tf.Workload(service="frontend", entrypoint="/", mode="closed", clients=8, duration_s=0.2)
+        report = run(world, w)
+        assert report.failed == 0
+        assert world._seq / report.issued <= 9.01
+
+    def test_router_hands_off_to_a_shaped_queue(self):
+        # a -> r -> b; r's 8 mbit link to b holds 2 packets of 100 bytes,
+        # each serialized in 100 us.  250 packets reach r at t=0 and r hands
+        # them off at t=1, 2, ..., 250 us.  Those at 1 and 2 depart at 101
+        # and 201; a departure at t frees its slot for a hand-off at t, so
+        # the ones at 101 and 201 depart at 301 and 401 and all others drop.
+        from topoforge.sim import Message
+
+        topo = make_topology(
+            "a:\n  type: service\n  port: 9000\n  endpoints:\n"
+            "    - entrypoint: /\n      psize: 128\n      connections:\n"
+            "        - path: r->b\n          url: /\n"
+            "r:\n  type: router\n  connections:\n"
+            "    - path: b\n      rate: 8mbit\n      buffer_size: 2\n"
+            "b:\n  type: service\n  port: 9001\n  endpoints:\n"
+            "    - entrypoint: /\n      psize: 128\n"
+        )
+        world = build_sim(topo, seed=0)
+        arrivals = []
+        deliver = world._deliver
+
+        def record(now, msg):
+            if msg.route[msg.index] == "b":
+                arrivals.append(now)
+            deliver(now, msg)
+
+        world._deliver = record
+        for i in range(250):
+            world.forward(Message("request", i, ("a", "r", "b"), 0, 100), 0.0)
+        world.run_until(1 * S)
+        assert arrivals == [101.0, 201.0, 301.0, 401.0]
+        rb = world.links[("b", "r")][("r", "b")]
+        assert rb.dropped == 246 * 100
+        assert rb.rx == 4 * 100

@@ -17,6 +17,7 @@ from topoforge.errors import (
     UnknownEntrypointError,
     ValidationError,
 )
+from topoforge.model import Rate
 from topoforge.validation import (
     MAX_HOSTS_PER_SUBNET_V4,
     MAX_SERVICES,
@@ -24,7 +25,7 @@ from topoforge.validation import (
     check_capacity,
 )
 
-from conftest import make_topology
+from conftest import make_topology, shared_first_hop_config
 
 _LEAF = "b:\n  type: service\n  port: 8001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
 
@@ -263,6 +264,25 @@ class TestPortsAndOptions:
         assert t.link_graph[("a", "r")].impairments.delay == 1000.0
         assert t.link_graph[("b", "r")].impairments.delay == 2000.0
         assert t.link_graph[("a", "r")].declared_by["delay"] == "a"
+
+    def test_dropped_declaration_warns(self):
+        t = make_topology(shared_first_hop_config())
+        assert t.link_graph[("front", "r1")].impairments.rate == Rate(100.0, "mbit")
+        assert [w for w in t.warnings if "link" in w] == [
+            "link 'front<->r1': keeping rate 100mbit declared by 'front', "
+            "dropping 10mbit declared by 'front'"
+        ]
+
+    def test_dropped_timer_list_warns(self):
+        first_timer = (
+            "rate: 100mbit\n          timers:\n            - option: rate\n"
+            "              start: 1\n              duration: 2\n              newValue: 1gbit\n"
+        )
+        t = make_topology(shared_first_hop_config().replace("rate: 100mbit\n", first_timer, 1))
+        assert [w for w in t.warnings if "timers" in w] == [
+            "link 'front<->r1': keeping timers [rate 1gbit from 1s for 2s] declared by "
+            "'front', dropping [rate 1gbit from 5s for 10s] declared by 'front'"
+        ]
 
 
 class TestCapacityLimits:
