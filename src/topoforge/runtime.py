@@ -1,13 +1,15 @@
 """The microservice runtime.
 
 Listens on configured entrypoints, queries downstream services strictly
-sequentially, answers with a random payload of the configured size, and
-optionally exports trace spans to a collector endpoint or a file sink.
+sequentially over pooled persistent connections, answers with a random
+payload of the configured size, and optionally exports trace spans to a
+collector endpoint or a file sink.
 """
 
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import random
@@ -225,6 +227,17 @@ def random_payload(n: int, rng: random.Random | None = None) -> bytes:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "topoforge-service"
+    # headers and body go out in two sends: with Nagle on, the body would
+    # wait for the client's delayed ACK (40 ms) on a keep-alive connection
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        self.server.microservice._track_inbound(self.connection, True)
+
+    def finish(self):
+        self.server.microservice._track_inbound(self.connection, False)
+        super().finish()
 
     def log_message(self, *args):  # quiet by default
         if self.server.verbose:
@@ -268,10 +281,14 @@ class _ServerV4(ThreadingHTTPServer):
     daemon_threads = True
     verbose = False
 
+    def handle_error(self, request, client_address):
+        # a client that fails its TLS handshake or drops its connection is
+        # no fault of the server; anything else is reported
+        if not isinstance(sys.exc_info()[1], OSError):
+            super().handle_error(request, client_address)
 
-class _ServerV6(ThreadingHTTPServer):
-    daemon_threads = True
-    verbose = False
+
+class _ServerV6(_ServerV4):
     address_family = socket.AF_INET6
 
 
@@ -294,7 +311,22 @@ class Microservice:
         if config.scheme == "https":
             ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             ctx.load_cert_chain(config.tls["cert"], config.tls["key"])
-            self._server.socket = ctx.wrap_socket(self._server.socket, server_side=True)
+            # each handshake runs in its handler thread, not in the accept loop
+            self._server.socket = ctx.wrap_socket(
+                self._server.socket, server_side=True, do_handshake_on_connect=False
+            )
+        self._client_tls: ssl.SSLContext | None = None
+        if any(ds.scheme == "https" for ep in config.endpoints for ds in ep.downstreams):
+            self._client_tls = ssl.create_default_context()
+            if config.tls and config.tls.get("ca"):
+                self._client_tls.load_verify_locations(config.tls["ca"])
+            self._client_tls.check_hostname = False
+        # idle downstream connections by (scheme, address, port), shared by
+        # every handler thread; None once stopped
+        self._idle: dict[tuple[str, str, int], list[http.client.HTTPConnection]] | None = {}
+        # accepted connections still open, for stop() to shut down
+        self._inbound: set[socket.socket] = set()
+        self._conn_lock = threading.Lock()
         self._thread: threading.Thread | None = None
 
     @property
@@ -309,8 +341,20 @@ class Microservice:
         self._thread.start()
 
     def stop(self):
+        """Stop serving and close every connection, inbound and pooled."""
         self._server.shutdown()
         self._server.server_close()
+        with self._conn_lock:
+            idle = [conn for conns in (self._idle or {}).values() for conn in conns]
+            self._idle = None
+            inbound = list(self._inbound)
+        for conn in idle:
+            conn.close()  # ends the peer's handler thread for this connection
+        for sock in inbound:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # ends our handler thread
+            except OSError:
+                pass
         if self.exporter:
             self.exporter.close()
 
@@ -393,25 +437,63 @@ class Microservice:
         return status, body, ctype
 
     def _call_downstream(self, ds: Downstream, trace_id: str, span_id: str) -> bool:
-        host = f"[{ds.address}]" if ":" in ds.address else ds.address
-        url = f"{ds.scheme}://{host}:{ds.port}{ds.url}"
-        req = urllib.request.Request(
-            url, headers={"traceparent": format_traceparent(trace_id, span_id)}
-        )
-        ctx = None
+        key = (ds.scheme, ds.address, ds.port)
+        headers = {"traceparent": format_traceparent(trace_id, span_id)}
+        with self._conn_lock:
+            idle = self._idle.get(key) if self._idle is not None else None
+            conn = idle.pop() if idle else None
+        if conn is not None:
+            try:
+                return self._exchange(key, conn, ds.url, headers)
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # the peer closed the idle connection: retry once, fresh
         if ds.scheme == "https":
-            ctx = ssl.create_default_context()
-            if self.config.tls and self.config.tls.get("ca"):
-                ctx.load_verify_locations(self.config.tls["ca"])
-            ctx.check_hostname = False
+            conn = http.client.HTTPSConnection(
+                ds.address, ds.port, timeout=self.config.downstream_timeout_s,
+                context=self._client_tls,
+            )
+        else:
+            conn = http.client.HTTPConnection(
+                ds.address, ds.port, timeout=self.config.downstream_timeout_s
+            )
         try:
-            with urllib.request.urlopen(
-                req, timeout=self.config.downstream_timeout_s, context=ctx
-            ) as resp:
-                resp.read()
-                return resp.status == 200
-        except (urllib.error.URLError, OSError, ValueError):
+            return self._exchange(key, conn, ds.url, headers)
+        except (ConnectionResetError, BrokenPipeError):
             return False
+
+    def _exchange(
+        self, key: tuple[str, str, int], conn: http.client.HTTPConnection, url: str, headers: dict
+    ) -> bool:
+        """One GET on ``conn``, read in full; the connection is pooled after it.
+
+        Raises ConnectionResetError or BrokenPipeError (``RemoteDisconnected``
+        is one) when the connection broke before a status line arrived; every
+        other failure returns False.  A failed connection is closed.
+        """
+        resp = None
+        try:
+            conn.request("GET", url, headers=headers)
+            resp = conn.getresponse()
+            resp.read()
+        except (http.client.HTTPException, OSError, ValueError) as exc:
+            conn.close()
+            if resp is None and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+                raise
+            return False
+        if not resp.will_close:
+            with self._conn_lock:
+                if self._idle is not None:
+                    self._idle.setdefault(key, []).append(conn)
+                    return resp.status == 200
+        conn.close()
+        return resp.status == 200
+
+    def _track_inbound(self, sock: socket.socket, is_open: bool):
+        with self._conn_lock:
+            if is_open:
+                self._inbound.add(sock)
+            else:
+                self._inbound.discard(sock)
 
 
 def main(argv: list[str] | None = None) -> int:

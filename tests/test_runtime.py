@@ -1,14 +1,21 @@
 """Live-server tests for the microservice runtime on the loopback interface."""
 
+import contextlib
+import http.client
 import json
 import random
 import socket
+import ssl
+import struct
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from topoforge import tls
 from topoforge.runtime import (
     Downstream,
     EndpointRuntime,
@@ -22,10 +29,10 @@ from topoforge.runtime import (
 )
 
 
-def _service(name, endpoints, tmp_path=None, sink=None, **kw):
+def _service(name, endpoints, tmp_path=None, sink=None, port=0, **kw):
     cfg = RuntimeConfig(
         name=name,
-        port=0,  # ephemeral
+        port=port,  # 0: ephemeral
         endpoints=tuple(endpoints),
         host="127.0.0.1",
         span_sink_file=str(sink) if sink else None,
@@ -44,6 +51,121 @@ def _get(port, path, headers=None):
 
 def _read_spans(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _count_accepts(svc):
+    """A list that grows by one for each connection ``svc`` accepts."""
+    accepted = []
+    get_request = svc._server.get_request
+
+    def counting():
+        request = get_request()
+        accepted.append(request[1])
+        return request
+
+    svc._server.get_request = counting
+    return accepted
+
+
+_OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+class _RawPeer:
+    """A TCP peer that answers the n-th request it reads with ``replies[n]``.
+
+    A reply is bytes to send, a function of the connection, or None, which
+    (like running out of replies) leaves the caller waiting.
+    """
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.accepted = 0
+        self._conns = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            self._conns.append(conn)
+            threading.Thread(target=self._answer, args=(conn,), daemon=True).start()
+
+    def _answer(self, conn):
+        buf = b""
+        try:
+            while True:
+                while b"\r\n\r\n" not in buf:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        return
+                    buf += chunk
+                _, buf = buf.split(b"\r\n\r\n", 1)
+                reply = self.replies.pop(0) if self.replies else None
+                if callable(reply):
+                    reply(conn)
+                elif reply is not None:
+                    conn.sendall(reply)
+        except OSError:
+            return
+
+    def close(self):
+        for sock in [self._listener, *self._conns]:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept or recv
+            except OSError:
+                pass
+            sock.close()
+
+
+def _fanout_stack(leaves=3, scheme="http", tls_paths=None):
+    """An HTTP front whose ``/`` calls ``leaves`` leaves in sequence; returns (front, leaves)."""
+    leaf_svcs = [
+        _service(f"leaf{i}", [EndpointRuntime("/", 128)], scheme=scheme, tls=tls_paths)
+        for i in range(leaves)
+    ]
+    front = _service(
+        "front",
+        [
+            EndpointRuntime(
+                "/",
+                1024,
+                tuple(
+                    Downstream(f"leaf{i}", "127.0.0.1", leaf.port, "/", scheme)
+                    for i, leaf in enumerate(leaf_svcs)
+                ),
+            )
+        ],
+        tls=tls_paths,
+    )
+    return front, leaf_svcs
+
+
+@pytest.fixture()
+def tls_files(tmp_path):
+    """CA, certificate and key files for a service on 127.0.0.1."""
+    authority = tls.generate_authority(seed=7)
+    leaf = tls.generate_leaf(authority, "svc", ["127.0.0.1"], seed=7)
+    paths = {"ca": tmp_path / "ca.pem", "cert": tmp_path / "svc.pem", "key": tmp_path / "svc.key"}
+    paths["ca"].write_bytes(authority.cert_pem)
+    paths["cert"].write_bytes(leaf.cert_pem)
+    paths["key"].write_bytes(leaf.key_pem)
+    return {k: str(v) for k, v in paths.items()}
+
+
+def _https_get(port, ca, path="/", timeout=5):
+    ctx = ssl.create_default_context(cafile=ca)
+    conn = http.client.HTTPSConnection("127.0.0.1", port, timeout=timeout, context=ctx)
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
 
 
 @pytest.fixture()
@@ -176,6 +298,221 @@ class TestTracing:
         spans = self._spans_of(stack, "leaf")
         assert spans[-1]["parentSpanId"] is None
         assert len(spans[-1]["traceId"]) == 32
+
+
+class TestDownstreamConnections:
+    def test_keepalive_fanout_has_no_stall(self):
+        front, leaves = _fanout_stack()
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", front.port, timeout=5)
+            t0 = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert len(resp.read()) == 1024
+            elapsed = time.perf_counter() - t0
+            conn.close()
+            # a 40 ms delayed-ACK stall per request would take 0.8 s
+            assert elapsed < 0.4, elapsed
+        finally:
+            for svc in [front, *leaves]:
+                svc.stop()
+
+    def test_leaf_accepts_one_connection(self):
+        front, (leaf,) = _fanout_stack(leaves=1)
+        accepted = _count_accepts(leaf)
+        try:
+            for _ in range(10):
+                status, body, _ = _get(front.port, "/")
+                assert status == 200 and len(body) == 1024
+            assert len(accepted) == 1
+        finally:
+            front.stop()
+            leaf.stop()
+
+    def test_pool_shared_by_concurrent_handlers(self):
+        front, (leaf,) = _fanout_stack(leaves=1)
+        accepted = _count_accepts(leaf)
+        failures = []
+
+        def client():
+            for _ in range(25):
+                try:
+                    status, body, _ = _get(front.port, "/")
+                except OSError:
+                    status, body = None, b""
+                if status != 200 or len(body) != 1024:
+                    failures.append(status)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert failures == []
+            pooled = [conn for conns in front._idle.values() for conn in conns]
+            # each leaf connection went back to the pool exactly once
+            assert len({id(conn) for conn in pooled}) == len(pooled) == len(accepted) <= 8
+        finally:
+            front.stop()
+            leaf.stop()
+
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    def test_stale_connection_retried_once(self, scheme, tls_files):
+        front, (leaf,) = _fanout_stack(leaves=1, scheme=scheme, tls_paths=tls_files)
+        try:
+            assert _get(front.port, "/")[0] == 200
+            port = leaf.port
+            leaf.stop()  # closes the connection the front keeps in its pool
+            leaf = _service(
+                "leaf0", [EndpointRuntime("/", 128)], port=port, scheme=scheme, tls=tls_files
+            )
+            accepted = _count_accepts(leaf)
+            status, body, _ = _get(front.port, "/")
+            assert status == 200 and len(body) == 1024
+            assert len(accepted) == 1
+        finally:
+            front.stop()
+            leaf.stop()
+
+    def test_timeout_not_retried(self):
+        peer = _RawPeer([_OK, None])  # answers once, then keeps the caller waiting
+        svc = _service(
+            "edge",
+            [EndpointRuntime("/", 64, (Downstream("slow", "127.0.0.1", peer.port, "/"),))],
+            downstream_timeout_s=0.3,
+        )
+        try:
+            assert _get(svc.port, "/")[0] == 200
+            t0 = time.monotonic()
+            with pytest.raises(urllib.error.HTTPError) as ei:
+                _get(svc.port, "/")
+            elapsed = time.monotonic() - t0
+            assert ei.value.code == 502
+            assert ei.value.read() == b"downstream 'slow' failed"
+            assert 0.3 <= elapsed < 2.0, elapsed  # not the 5 s default
+            assert peer.accepted == 1  # a retry would open a second connection
+        finally:
+            svc.stop()
+            peer.close()
+
+    def test_reset_after_status_line_not_retried(self):
+        def reset_mid_body(conn):
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\npartial")
+            time.sleep(0.1)  # the caller has read the status line by now
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()  # with a zero linger time: a reset
+
+        peer = _RawPeer([_OK, reset_mid_body])
+        svc = _service(
+            "edge",
+            [EndpointRuntime("/", 64, (Downstream("cut", "127.0.0.1", peer.port, "/"),))],
+            downstream_timeout_s=0.3,
+        )
+        try:
+            assert _get(svc.port, "/")[0] == 200
+            with pytest.raises(urllib.error.HTTPError) as ei:
+                _get(svc.port, "/")
+            assert ei.value.code == 502
+            assert ei.value.read() == b"downstream 'cut' failed"
+            assert peer.accepted == 1
+        finally:
+            svc.stop()
+            peer.close()
+
+    def test_malformed_reply_is_502(self, tmp_path):
+        peer = _RawPeer([b"garbage\r\n\r\n"])
+        sink = tmp_path / "s.ndjson"
+        svc = _service(
+            "edge",
+            [EndpointRuntime("/", 64, (Downstream("bad", "127.0.0.1", peer.port, "/"),))],
+            sink=sink,
+        )
+        try:
+            with pytest.raises(urllib.error.HTTPError) as ei:
+                _get(svc.port, "/")
+            assert ei.value.code == 502
+            assert ei.value.read() == b"downstream 'bad' failed"
+            svc.exporter.flush()
+            calls = [s for s in _read_spans(sink) if s["name"] == "call bad/"]
+            assert [c["attributes"]["status"] for c in calls] == ["error"]
+        finally:
+            svc.stop()
+            peer.close()
+
+    def test_stop_closes_pooled_connections(self):
+        front, (leaf,) = _fanout_stack(leaves=1)
+        try:
+            for _ in range(3):
+                assert _get(front.port, "/")[0] == 200
+            pooled = [conn for conns in front._idle.values() for conn in conns]
+            assert pooled
+            front.stop()
+            assert all(conn.sock is None for conn in pooled)
+            # the leaf's handler thread sees the close and ends
+            deadline = time.monotonic() + 2
+            while leaf._inbound and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not leaf._inbound
+        finally:
+            front.stop()
+            leaf.stop()
+
+
+class TestHttps:
+    def test_silent_client_does_not_block_handshakes(self, tls_files):
+        svc = _service("svc", [EndpointRuntime("/", 32)], scheme="https", tls=tls_files)
+        silent = socket.create_connection(("127.0.0.1", svc.port))
+        try:
+            time.sleep(0.1)  # let the server accept the silent connection first
+            status, body = _https_get(svc.port, tls_files["ca"], timeout=3)
+            assert status == 200 and len(body) == 32
+        finally:
+            silent.close()
+            svc.stop()
+
+    def test_failed_handshake_is_quiet(self, tls_files, capfd):
+        svc = _service("svc", [EndpointRuntime("/", 32)], scheme="https", tls=tls_files)
+        try:
+            with socket.create_connection(("127.0.0.1", svc.port), timeout=3) as plain:
+                plain.sendall(b"GET / HTTP/1.1\r\nHost: svc\r\n\r\n")
+                with contextlib.suppress(ConnectionResetError):
+                    assert plain.recv(100) == b""  # closed without a reply
+            status, _ = _https_get(svc.port, tls_files["ca"], timeout=3)
+            assert status == 200
+        finally:
+            svc.stop()
+        assert capfd.readouterr().err == ""
+
+    def test_front_to_leaf_over_https(self, tls_files):
+        leaf = _service("leaf", [EndpointRuntime("/", 128)], scheme="https", tls=tls_files)
+        accepted = _count_accepts(leaf)
+        front = _service(
+            "front",
+            [
+                EndpointRuntime(
+                    "/", 700, (Downstream("leaf", "127.0.0.1", leaf.port, "/", "https"),)
+                )
+            ],
+            scheme="https",
+            tls=tls_files,
+        )
+        try:
+            for _ in range(5):
+                status, body = _https_get(front.port, tls_files["ca"])
+                assert status == 200 and len(body) == 700
+            assert len(accepted) == 1
+        finally:
+            front.stop()
+            leaf.stop()
 
 
 class TestTraceparent:
