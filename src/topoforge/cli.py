@@ -40,11 +40,14 @@ def _build_parser() -> argparse.ArgumentParser:
         group.add_argument("--ipv4", dest="family", action="store_const", const="v4")
         group.add_argument("--ipv6", dest="family", action="store_const", const="v6")
         p.set_defaults(family="v4")
+
+    def add_bases(p):
         p.add_argument("--base-v4", default=None, help="IPv4 allocation base CIDR")
         p.add_argument("--base-v6", default=None, help="IPv6 allocation base CIDR")
 
     gen = sub.add_parser("generate", help="emit deployment configuration files")
     add_common(gen)
+    add_bases(gen)
     gen.add_argument("--target", choices=["compose", "k8s"], default="compose")
     gen.add_argument("--https", action="store_true")
     gen.add_argument("--tracing", action="store_true")
@@ -57,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ins = sub.add_parser("inspect", help="print the resolved topology and network plan")
     add_common(ins)
+    add_bases(ins)
 
     simp = sub.add_parser("simulate", help="run the in-process simulation harness")
     add_common(simp)

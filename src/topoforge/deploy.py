@@ -202,8 +202,6 @@ def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> De
                     f"{CERTS_MOUNT_DIR}/{name}.crt": f"certs/{name}.crt",
                     f"{CERTS_MOUNT_DIR}/{name}.key": f"certs/{name}.key",
                 }
-        else:
-            spec.config_payload = {"name": name, "role": "router"}
         containers.append(spec)
 
     if opts.tracing:

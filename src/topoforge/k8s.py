@@ -1,7 +1,7 @@
 """Serialization of a DeploymentPlan to kubernetes manifests.
 
 Per entity: one Deployment, one stable-name Service, and one ConfigMap
-carrying the runtime config and timer script; per HTTPS service, one Secret
+carrying a service's runtime config and any timer script; per HTTPS service, one Secret
 carrying its TLS material.  The pod mounts the ConfigMap and the Secret as
 one projected volume at ``/etc/topoforge``, the TLS files under ``certs/``;
 the setup commands run inline in the pod's postStart hook.  The cluster

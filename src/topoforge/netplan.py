@@ -10,7 +10,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass, field
 
-from .errors import CapacityExceededError, ConflictingRouteError
+from .errors import CapacityExceededError, ConflictingRouteError, OptionConflictError
 from .model import (
     PERCENT_OPTIONS,
     ImpairmentSpec,
@@ -109,19 +109,27 @@ def allocate_networks(
     parts from .2 (or ::2) upward.  Each entity's interfaces are named
     eth0, eth1, ... in subnet allocation order.
     """
-    prefix = PREFIX_V4 if family == "v4" else PREFIX_V6
+    version, prefix = (4, PREFIX_V4) if family == "v4" else (6, PREFIX_V6)
     base = base or (DEFAULT_BASE_V4 if family == "v4" else DEFAULT_BASE_V6)
     space = ipaddress.ip_network(base)
+    if space.version != version:
+        raise OptionConflictError(f"base network {base} is not an IPv{version} network")
     if space.prefixlen > prefix:
         raise CapacityExceededError(
             f"base network {base} is smaller than the /{prefix} subnet size"
         )
-    pool = space.subnets(new_prefix=prefix)
 
     np = NetPlan(family=family)
     known = set(t.bridge_members)
     bridge_members = t.bridge_members + [m for m in extra_bridge_members if m not in known]
     check_plan_capacity(family, len(t.routed_pairs), len(bridge_members), len(t.services))
+    needed = len(t.routed_pairs) + (1 if bridge_members else 0)
+    held = 1 << (prefix - space.prefixlen)
+    if held < needed:
+        raise CapacityExceededError(
+            f"base network {base} holds {held} /{prefix} subnets; the plan needs {needed}"
+        )
+    pool = space.subnets(new_prefix=prefix)
 
     members_of: list[tuple[Subnet, list[str]]] = []
     if bridge_members:
@@ -327,14 +335,14 @@ def plan_routes(t: ValidatedTopology, np: NetPlan) -> NetPlan:
     gateway_for: dict[tuple[str, str], str] = {}
 
     def add(entity: str, dst: str, via: str):
-        prev = gateway_for.setdefault((entity, dst), via)
-        if prev != via:
+        prev = gateway_for.get((entity, dst))
+        if prev is None:
+            gateway_for[(entity, dst)] = via
+            setup[entity].append(_route_cmd(np.family, dst, via))
+        elif prev != via:
             raise ConflictingRouteError(
                 f"needs routes to {dst} via both {prev} and {via}", entity, "path"
             )
-        cmd = _route_cmd(np.family, dst, via)
-        if cmd not in setup[entity]:
-            setup[entity].append(cmd)
 
     for rp in t.path_table:
         hops = rp.hops

@@ -34,7 +34,7 @@ from functools import partial
 from .errors import WorkloadUnreachableError
 from .model import ImpairmentSpec
 from .netplan import impairment_timeline, timer_window
-from .validation import ResolvedPath, ValidatedTopology, link_key
+from .validation import ValidatedTopology
 
 US = 1.0
 MS = 1_000.0
@@ -136,9 +136,7 @@ class Message:
     route: tuple[str, ...]
     index: int  # current position within route
     size: int
-    url: str | None = None
     ok: bool = True
-    failed_hop: str | None = None
     corrupted: bool = False
 
 
@@ -169,7 +167,7 @@ class _LinkDir:
     def params_at(self, now_us: float) -> ImpairmentSpec:
         return self.values[bisect_right(self.boundaries, now_us)]
 
-    def transmit(self, msg: Message, now: float, deliver):
+    def transmit(self, msg: Message, now: float):
         eff = self.params_at(now)
         self.tx += msg.size
         depart = now
@@ -201,17 +199,17 @@ class _LinkDir:
             if eff.reorder is not None and self.rng.random() * 100.0 < eff.reorder:
                 latency = 0.0
         dup = eff.duplicate is not None and self.rng.random() * 100.0 < eff.duplicate
-        self.world.schedule_at(depart + latency, self._arrive, msg, deliver)
+        self.world.schedule_at(depart + latency, self._arrive, msg)
         if dup:
             self.tx += msg.size
-            self.world.schedule_at(depart + latency, self._arrive, replace(msg), deliver)
+            self.world.schedule_at(depart + latency, self._arrive, replace(msg))
 
-    def _arrive(self, now: float, msg: Message, deliver):
+    def _arrive(self, now: float, msg: Message):
         if msg.corrupted:
             self.corrupted += msg.size
             return  # receiver rejects the frame
         self.rx += msg.size
-        deliver(now, msg)
+        self.world._deliver(now, msg)
 
 
 class _Exchange:
@@ -228,7 +226,7 @@ class _Exchange:
         self.issued_at = world.now
         self.deadline = world.now + deadline_us
         # at the terminal service: None until the request first arrives, ()
-        # while it is served, then the cached (ok, psize, failed_hop) reply
+        # while it is served, then the cached (ok, psize) reply
         self.served: tuple | None = None
         world.exchanges[self.eid] = self
         self._attempt()
@@ -236,8 +234,7 @@ class _Exchange:
     def _attempt(self):
         world = self.world
         now = world.now
-        msg = Message("request", self.eid, self.route, 0, world.params.request_bytes, self.url)
-        world.forward(msg, now)
+        world.forward(Message("request", self.eid, self.route, 0, world.params.request_bytes), now)
         world.schedule_at(min(now + world.params.rto_us, self.deadline), self._timeout)
 
     def _timeout(self, now: float):
@@ -253,47 +250,13 @@ class _Exchange:
         self.on_done(ok, self.world.now - self.issued_at)
 
 
-class _Job:
-    """Server-side handling of one received request: sequential downstreams."""
-
-    __slots__ = ("svc", "endpoint_paths", "psize", "idx", "reply")
-
-    def __init__(self, svc: "_ServiceModel", entrypoint: str, reply):
-        self.svc = svc
-        self.endpoint_paths = svc.downstream_paths[entrypoint]
-        self.psize = svc.psizes[entrypoint]
-        self.idx = 0
-        self.reply = reply
-
-    def step(self, now: float):
-        if self.idx >= len(self.endpoint_paths):
-            self.reply(True, self.psize, None)
-            return
-        rp = self.endpoint_paths[self.idx]
-        _Exchange(
-            self.svc.world,
-            rp.hops,
-            rp.url,
-            self.svc.world.params.downstream_timeout_us,
-            lambda ok, _rtt, rp=rp: self._on_downstream(ok, rp),
-        )
-
-    def _on_downstream(self, ok: bool, rp: ResolvedPath):
-        if not ok:
-            self.reply(False, 0, rp.terminal)
-            return
-        self.idx += 1
-        self.step(self.svc.world.now)
-
-
 class _ServiceModel:
-    __slots__ = (
-        "world", "name", "busy_until", "downstream_paths", "psizes", "rx", "tx", "proc",
-    )
+    """A service: one message at a time; a request calls its downstreams in turn."""
 
-    def __init__(self, world, name, svc_spec, paths_by_ep):
+    __slots__ = ("world", "busy_until", "downstream_paths", "psizes", "rx", "tx", "proc")
+
+    def __init__(self, world, svc_spec, paths_by_ep):
         self.world = world
-        self.name = name
         self.busy_until = 0.0
         self.proc = world.params.service_proc_us
         self.downstream_paths = paths_by_ep
@@ -315,37 +278,38 @@ class _ServiceModel:
         elif ex.served is None:
             # at-most-once: retransmits of a request in service are absorbed
             ex.served = ()
-            if msg.url in self.psizes:
-                _Job(self, msg.url, partial(self._finish_request, ex)).step(now)
-            else:
-                self._finish_request(ex, False, 0, self.name)  # unknown entrypoint
+            self._call(ex, 0)
         elif ex.served:
             self._reply(ex, *ex.served)  # already answered: resend the cached reply
 
-    def _finish_request(self, ex: _Exchange, ok: bool, psize: int, failed_hop: str | None):
-        ex.served = (ok, psize, failed_hop)
-        self._reply(ex, ok, psize, failed_hop)
+    def _call(self, ex: _Exchange, idx: int):
+        """Start downstream ``idx`` of the served entrypoint, or reply after the last."""
+        paths = self.downstream_paths[ex.url]
+        if idx == len(paths):
+            self._reply(ex, True, self.psizes[ex.url])
+            return
+        rp = paths[idx]
+        timeout = self.world.params.downstream_timeout_us
+        _Exchange(self.world, rp.hops, rp.url, timeout, partial(self._called, ex, idx))
 
-    def _reply(self, ex: _Exchange, ok: bool, psize: int, failed_hop: str | None):
+    def _called(self, ex: _Exchange, idx: int, ok: bool, _rtt: float):
+        if ok:
+            self._call(ex, idx + 1)
+        else:
+            self._reply(ex, False, 0)
+
+    def _reply(self, ex: _Exchange, ok: bool, psize: int):
+        ex.served = (ok, psize)
         size = self.world.params.header_bytes + (psize if ok else 0)
-        resp = Message(
-            kind="response",
-            exchange_id=ex.eid,
-            route=ex.route[::-1],
-            index=0,
-            size=size,
-            ok=ok,
-            failed_hop=failed_hop,
-        )
+        resp = Message("response", ex.eid, ex.route[::-1], 0, size, ok=ok)
         self.world.forward(resp, self.world.now)
 
 
 class _RouterModel:
-    __slots__ = ("world", "name", "busy_until", "rx", "tx", "proc")
+    __slots__ = ("world", "busy_until", "rx", "tx", "proc")
 
-    def __init__(self, world, name):
+    def __init__(self, world):
         self.world = world
-        self.name = name
         self.busy_until = 0.0
         self.proc = world.params.router_proc_us
         self.rx = self.tx = 0
@@ -373,19 +337,15 @@ class SimWorld:
 
         self.entities: dict[str, object] = {}
         for name, spec in topology.services.items():
-            self.entities[name] = _ServiceModel(
-                self, name, spec, topology.paths_by_service[name]
-            )
+            self.entities[name] = _ServiceModel(self, spec, topology.paths_by_service[name])
         for name in topology.routers:
-            self.entities[name] = _RouterModel(self, name)
+            self.entities[name] = _RouterModel(self)
 
-        self.links: dict[tuple[str, str], dict[tuple[str, str], _LinkDir]] = {}
-        for key, edge in sorted(topology.link_graph.items()):
-            spec = edge.impairments
-            self.links[key] = {
-                (key[0], key[1]): _LinkDir(self, spec),
-                (key[1], key[0]): _LinkDir(self, spec),
-            }
+        # (sender, receiver) -> that direction of their link
+        self.links: dict[tuple[str, str], _LinkDir] = {}
+        for (a, b), edge in sorted(topology.link_graph.items()):
+            self.links[(a, b)] = _LinkDir(self, edge.impairments)
+            self.links[(b, a)] = _LinkDir(self, edge.impairments)
 
     # --- scheduling -----------------------------------------------------------
 
@@ -416,12 +376,12 @@ class SimWorld:
             model.tx += msg.size
         msg.index += 1
         dst = route[msg.index]
-        link = self.links.get(link_key(src, dst))
+        link = self.links.get((src, dst))
         if link is None:
             # no modeled link (external client attachment): direct handoff
             self._deliver(now, msg)
             return
-        link[(src, dst)].transmit(msg, now, self._deliver)
+        link.transmit(msg, now)
 
     def _deliver(self, now: float, msg: Message):
         name = msg.route[msg.index]
@@ -436,7 +396,7 @@ class SimWorld:
 
     def link_param(self, a: str, b: str, option: str, t_seconds: float):
         """Value of an option on the a->b link direction at a virtual time."""
-        return self.links[link_key(a, b)][(a, b)].params_at(t_seconds * S).option_value(option)
+        return self.links[(a, b)].params_at(t_seconds * S).option_value(option)
 
     def timer_timeline(self, horizon_s: float) -> list[tuple[float, str, str]]:
         events = []
@@ -475,6 +435,8 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
     stats = {"issued": 0, "completed": 0, "failed": 0, "in_window": 0}
     rtts: list[float] = []
 
+    closed = workload.mode == "closed"
+
     def on_done(ok: bool, rtt: float):
         if ok:
             stats["completed"] += 1
@@ -483,26 +445,16 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
             rtts.append(rtt)
         else:
             stats["failed"] += 1
+        if closed and world.now < end_us:
+            issue()
 
-    def issue(on_finished=None):
+    def issue():
         stats["issued"] += 1
-        _Exchange(
-            world,
-            route,
-            workload.entrypoint,
-            world.params.request_deadline_us,
-            on_finished or on_done,
-        )
+        _Exchange(world, route, workload.entrypoint, world.params.request_deadline_us, on_done)
 
-    if workload.mode == "closed":
-
-        def loop_done(ok: bool, rtt: float):
-            on_done(ok, rtt)
-            if world.now < end_us:
-                issue(loop_done)
-
+    if closed:
         for _ in range(workload.clients):
-            world.schedule_at(start_us, lambda _t: issue(loop_done))
+            world.schedule_at(start_us, lambda _t: issue())
     else:
         # one pending arrival at a time: each arrival schedules the next
         n = int(workload.rate * workload.duration_s)
@@ -528,15 +480,10 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
     entity_bytes = {
         name: {"rx": model.rx, "tx": model.tx} for name, model in world.entities.items()
     }
-    link_bytes = {}
-    for key, dirs in world.links.items():
-        for (a, b), d in dirs.items():
-            link_bytes[f"{a}->{b}"] = {
-                "tx": d.tx,
-                "rx": d.rx,
-                "dropped": d.dropped,
-                "corrupted": d.corrupted,
-            }
+    link_bytes = {
+        f"{a}->{b}": {"tx": d.tx, "rx": d.rx, "dropped": d.dropped, "corrupted": d.corrupted}
+        for (a, b), d in world.links.items()
+    }
     return SimReport(
         issued=stats["issued"],
         completed=completed,

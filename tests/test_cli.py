@@ -82,3 +82,53 @@ def test_ioam_needs_v6(tmp_path, capsys):
 def test_missing_config(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "absent.yml")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["generate", "inspect"])
+def test_base_too_small_is_an_error(command, tmp_path, capsys):
+    argv = [command, FIG4, "--base-v4", "10.0.0.0/22"]
+    if command == "generate":
+        argv += ["--output", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: base network 10.0.0.0/22 holds 1 /22 subnets" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_base_of_the_other_version_conflicts(tmp_path, capsys):
+    argv = ["generate", FIG4, "--ipv4", "--base-v4", "fd00::/16", "--output", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "error: base network fd00::/16 is not an IPv4 network" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_base_flags_only_where_read(command, capsys):
+    assert cli.main([command, FIG4, "--base-v4", "10.0.0.0/8"]) == 2
+    assert "unrecognized arguments: --base-v4" in capsys.readouterr().err
+
+
+SAMPLES = sorted((Path(__file__).parent.parent / "topologies").glob("*.yml"))
+
+
+@pytest.mark.parametrize("target", ["compose", "k8s"])
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.stem)
+def test_sample_topology_generates(sample, target, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["generate", str(sample), "--target", target, "--output", str(out)]) == 0
+    if target == "compose":
+        named = set(yaml.safe_load((out / "compose.yml").read_text())["services"])
+    else:
+        named = {
+            yaml.safe_load(p.read_text())["metadata"]["name"]
+            for p in (out / "manifests").glob("*-deployment.yaml")
+        }
+    assert named == set(yaml.safe_load(sample.read_text()))
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.stem)
+def test_sample_topology_simulates(sample, capsys):
+    assert cli.main(["simulate", str(sample), "--duration", "0.05", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["completed"] > 0
+    assert report["failed"] == 0

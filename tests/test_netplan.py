@@ -6,7 +6,7 @@ import re
 import pytest
 
 import topoforge as tf
-from topoforge.errors import CapacityExceededError
+from topoforge.errors import CapacityExceededError, OptionConflictError
 from topoforge.model import ImpairmentSpec, Rate, TimerSpec
 from topoforge.netplan import (
     effective_impairments,
@@ -62,6 +62,15 @@ class TestAllocation:
     def test_base_too_small(self, fig4_topology):
         with pytest.raises(CapacityExceededError):
             plan_network(fig4_topology, base="10.0.0.0/24")
+        # room for one /22, but fig4 needs the bridge and two link subnets
+        with pytest.raises(CapacityExceededError, match="holds 1 /22 subnets; the plan needs 3"):
+            plan_network(fig4_topology, base="10.0.0.0/22")
+        assert len(plan_network(fig4_topology, base="10.0.0.0/20").subnets) == 3
+
+    @pytest.mark.parametrize("family, base", [("v4", "fd00::/16"), ("v6", "10.0.0.0/8")])
+    def test_base_of_the_other_version(self, fig4_topology, family, base):
+        with pytest.raises(OptionConflictError, match="is not an IPv"):
+            plan_network(fig4_topology, family=family, base=base)
 
     def test_deterministic(self, fig4_topology):
         a = plan_network(fig4_topology)

@@ -9,7 +9,7 @@ from topoforge.errors import WorkloadUnreachableError
 from topoforge.model import ImpairmentSpec, Rate
 from topoforge.sim import MS, S, ModelParams, _LinkDir, build_sim, run
 
-from conftest import delay_chain_config, make_topology
+from conftest import delay_chain_config, loss_chain_config, make_topology
 
 
 def _drive_link(spec: ImpairmentSpec, n: int, seed: int = 0, size: int = 100):
@@ -17,12 +17,13 @@ def _drive_link(spec: ImpairmentSpec, n: int, seed: int = 0, size: int = 100):
     world = build_sim(make_topology(delay_chain_config(0)), seed=seed)
     link = _LinkDir(world, spec)
     delivered = []
+    world._deliver = lambda t, m: delivered.append((t, m))
 
     from topoforge.sim import Message
 
     for i in range(n):
         msg = Message(kind="request", exchange_id=i, route=("a", "b"), index=1, size=size)
-        link.transmit(msg, world.now, lambda t, m: delivered.append((t, m)))
+        link.transmit(msg, world.now)
         world.run_until(world.now + 10 * S)
     return world, link, delivered
 
@@ -43,7 +44,8 @@ class TestLinkModel:
         out = []
         from topoforge.sim import Message
 
-        link.transmit(Message("request", 1, ("a", "b"), 1, 64), 0.0, lambda t, m: out.append(t))
+        world._deliver = lambda t, m: out.append(t)
+        link.transmit(Message("request", 1, ("a", "b"), 1, 64), 0.0)
         world.run_until(1 * S)
         assert out == [500.0]
 
@@ -85,10 +87,11 @@ class TestLinkModel:
         world = build_sim(make_topology(delay_chain_config(0)), seed=0)
         link = _LinkDir(world, ImpairmentSpec(rate=Rate(8.0, "mbit")))
         out = []
+        world._deliver = lambda t, m: out.append(t)
         from topoforge.sim import Message
 
         for i in range(3):
-            link.transmit(Message("request", i, ("a", "b"), 1, 100), 0.0, lambda t, m: out.append(t))
+            link.transmit(Message("request", i, ("a", "b"), 1, 100), 0.0)
         world.run_until(1 * S)
         assert out == [100.0, 200.0, 300.0]
 
@@ -96,10 +99,11 @@ class TestLinkModel:
         world = build_sim(make_topology(delay_chain_config(0)), seed=0)
         link = _LinkDir(world, ImpairmentSpec(rate=Rate(8.0, "mbit"), buffer_size=2))
         out = []
+        world._deliver = lambda t, m: out.append(t)
         from topoforge.sim import Message
 
         for i in range(10):
-            link.transmit(Message("request", i, ("a", "b"), 1, 100), 0.0, lambda t, m: out.append(t))
+            link.transmit(Message("request", i, ("a", "b"), 1, 100), 0.0)
         world.run_until(1 * S)
         assert len(out) == 2
         assert link.dropped == 8 * 100
@@ -112,9 +116,9 @@ class TestWorkloads:
     def test_world_shape(self, fig4_topology):
         world = build_sim(fig4_topology)
         assert set(world.entities) == {"frontend", "r1", "db", "payment"}
-        assert len(world.links) == 3
-        for dirs in world.links.values():
-            assert len(dirs) == 2  # both directions modeled
+        assert len(world.links) == 6
+        for a, b in world.links:
+            assert (b, a) in world.links  # both directions modeled
 
     def test_closed_loop_rate_matches_inverse_rtt(self):
         report = run(
@@ -252,6 +256,17 @@ class TestReliability:
         # exchange, however many copies of that exchange's request reach b
         assert report.link_bytes["b->c"]["tx"] == report.issued * params.request_bytes
 
+    def test_failed_downstream_fails_the_request(self):
+        # every call a makes to b is lost and times out once, so a answers
+        # each of its requests with a header-only error reply
+        params = ModelParams(downstream_timeout_us=50 * MS)
+        world = build_sim(make_topology(loss_chain_config(100)), params=params)
+        report = run(world, tf.Workload(service="a", mode="closed", clients=1, duration_s=0.3))
+        assert report.completed == 0
+        assert report.failed == report.issued > 1
+        per_request = params.request_bytes + params.header_bytes  # one call, one reply
+        assert report.entity_bytes["a"]["tx"] == report.issued * per_request
+
     def test_state_bounded_by_in_flight_work(self, fig4_topology):
         heap_left = []
         for duration_s in (0.25, 0.5):
@@ -304,6 +319,6 @@ class TestEventModel:
             world.forward(Message("request", i, ("a", "r", "b"), 0, 100), 0.0)
         world.run_until(1 * S)
         assert arrivals == [101.0, 201.0, 301.0, 401.0]
-        rb = world.links[("b", "r")][("r", "b")]
+        rb = world.links[("r", "b")]
         assert rb.dropped == 246 * 100
         assert rb.rx == 4 * 100
