@@ -9,15 +9,22 @@ Events: a packet costs one per link it crosses and one per service that
 handles it.  A link decides a packet's departure, loss, corruption,
 duplication and delay when the packet is handed off, and schedules only its
 arrival; a router hands a packet on when its processing ends, with no event
-of its own.  Each exchange timer is one more event.
+of its own.
 
-Reliability is per exchange (one request/response round trip).  Each
-exchange arms one timer at min(now + rto, deadline); when it fires the
-exchange either retransmits and re-arms, or expires.  The terminal service
-executes a request at most once: the exchange records that its request is
-being served and then caches the reply, which a retransmission gets resent.
-That state lives and dies with the exchange, and a late copy of a request or
-response whose exchange has finished is dropped.
+Reliability is per exchange (one request/response round trip).  An exchange
+retransmits its request at issue + k * rto while that is before its deadline,
+and fails at the deadline.  The terminal service executes a request at most
+once: the exchange records that its request is being served and then caches
+the reply, which a retransmission gets resent.  That state lives and dies
+with the exchange, and a late copy of a request or response whose exchange
+has finished is dropped.
+
+Every timer is armed at now plus one of a few constants (the rto and each
+class's deadline), so the timers of one constant fire in the order they were
+armed.  Each constant keeps them in a FIFO whose head alone has an event in
+the heap (the fixed-interval case of Varghese & Lauck, "Hashed and
+Hierarchical Timing Wheels", SOSP 1987): a timer whose exchange finishes
+first gets no event of its own.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .validation import ValidatedTopology
 US = 1.0
 MS = 1_000.0
 S = 1_000_000.0
+DIGEST_BLOCK = 4096  # event times hashed per sha256 update
 
 
 @dataclass(frozen=True)
@@ -212,10 +220,50 @@ class _LinkDir:
         self.world._deliver(now, msg)
 
 
+class _TimerQueue:
+    """Timers armed at now + one constant delay, so they fire in arming order.
+
+    Only the head has an event in the heap.  A finishing exchange pops the
+    entries of finished exchanges off the heads of its queues, and a firing
+    head skips them, so a timer of a finished exchange is never dispatched.
+    """
+
+    __slots__ = ("world", "entries", "scheduled")
+
+    def __init__(self, world: "SimWorld"):
+        self.world = world
+        self.entries: deque[tuple] = deque()  # (fire time, exchange, callback)
+        self.scheduled = False  # an event for this queue is in the heap
+
+    def push(self, t: float, ex: "_Exchange", fn):
+        self.entries.append((t, ex, fn))
+        if not self.scheduled:
+            self.scheduled = True
+            self.world.schedule_at(t, self._fire)
+
+    def prune(self):
+        entries, live = self.entries, self.world.exchanges
+        while entries and entries[0][1].eid not in live:
+            entries.popleft()
+
+    def _fire(self, now: float):
+        entries, live = self.entries, self.world.exchanges
+        while entries and entries[0][0] <= now:
+            _t, ex, fn = entries.popleft()
+            if ex.eid in live:
+                fn(ex)
+        self.prune()
+        self.scheduled = bool(entries)
+        if entries:
+            self.world.schedule_at(entries[0][0], self._fire)
+
+
 class _Exchange:
     """One reliable request/response round trip along a route."""
 
-    __slots__ = ("world", "route", "url", "deadline", "on_done", "eid", "issued_at", "served")
+    __slots__ = (
+        "world", "route", "url", "deadline", "on_done", "eid", "issued_at", "served", "timers",
+    )
 
     def __init__(self, world, route, url, deadline_us, on_done):
         self.world = world
@@ -229,24 +277,25 @@ class _Exchange:
         # while it is served, then the cached (ok, psize) reply
         self.served: tuple | None = None
         world.exchanges[self.eid] = self
+        self.timers = world.timers(deadline_us)
+        self.timers.push(self.deadline, self, _Exchange._expire)
         self._attempt()
 
     def _attempt(self):
         world = self.world
         now = world.now
         world.forward(Message("request", self.eid, self.route, 0, world.params.request_bytes), now)
-        world.schedule_at(min(now + world.params.rto_us, self.deadline), self._timeout)
+        retry = now + world.params.rto_us
+        if retry < self.deadline:
+            world.rto_timers.push(retry, self, _Exchange._attempt)
 
-    def _timeout(self, now: float):
-        if self.eid not in self.world.exchanges:
-            return  # finished before the timer fired
-        if now >= self.deadline:
-            self.finish(False)
-        else:
-            self._attempt()
+    def _expire(self):
+        self.finish(False)
 
     def finish(self, ok: bool):
         del self.world.exchanges[self.eid]
+        self.world.rto_timers.prune()
+        self.timers.prune()
         self.on_done(ok, self.world.now - self.issued_at)
 
 
@@ -332,7 +381,10 @@ class SimWorld:
         self._heap: list = []
         self._seq = 0
         self._digest = hashlib.sha256()
+        self._times: list[float] = []  # event times not yet hashed
         self.exchanges: dict[int, _Exchange] = {}
+        self._timer_queues: dict[float, _TimerQueue] = {}
+        self.rto_timers = self.timers(self.params.rto_us)
         self._next_eid = 0
 
         self.entities: dict[str, object] = {}
@@ -353,17 +405,35 @@ class SimWorld:
         self._next_eid += 1
         return self._next_eid
 
+    def timers(self, delay_us: float) -> _TimerQueue:
+        """The queue of timers armed at now + ``delay_us``."""
+        queue = self._timer_queues.get(delay_us)
+        if queue is None:
+            queue = self._timer_queues[delay_us] = _TimerQueue(self)
+        return queue
+
     def schedule_at(self, t: float, fn, *args):
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, fn, args))
 
     def run_until(self, t_end_us: float):
-        while self._heap and self._heap[0][0] <= t_end_us:
-            t, _seq, fn, args = heapq.heappop(self._heap)
+        heap = self._heap
+        heappop = heapq.heappop
+        times = self._times
+        while heap and heap[0][0] <= t_end_us:
+            t, _seq, fn, args = heappop(heap)
             self.now = t
-            self._digest.update(struct.pack("<d", t))
+            times.append(t)
+            if len(times) == DIGEST_BLOCK:
+                self._hash_times()
             fn(t, *args)
+        self._hash_times()
         self.now = max(self.now, t_end_us)
+
+    def _hash_times(self):
+        times = self._times
+        self._digest.update(struct.pack(f"<{len(times)}d", *times))
+        times.clear()
 
     # --- message movement -------------------------------------------------------
 

@@ -47,6 +47,9 @@ MAX_SERVICES = 64_510
 
 MIN_PORT = 1024
 MAX_PORT = 65_535
+# Linux sends packets with IP TTL 64 (net.ipv4.ip_default_ttl), and each
+# router decrements it: the 64th router on a path drops the packet
+DEFAULT_TTL = 64
 
 
 def check_capacity(family: str, n_subnets: int, max_hosts_in_subnet: int, n_services: int):
@@ -238,6 +241,12 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
             direct.add(link_key(*rp.hops))
         else:
             routed.update(link_key(x, y) for x, y in zip(rp.hops, rp.hops[1:]))
+        crossed = len(rp.hops) - 2
+        if crossed >= DEFAULT_TTL:
+            warnings.append(
+                f"service '{rp.service}' path '{'->'.join(rp.hops[1:])}' crosses {crossed} "
+                f"routers: packets start at IP TTL {DEFAULT_TTL}, so router {DEFAULT_TTL} drops them"
+            )
         paths_by_service[rp.service][rp.entrypoint].append(rp)
     direct_ends = {n for pair in direct for n in pair}
     routed_ends = {n for pair in routed for n in pair}

@@ -25,7 +25,7 @@ from topoforge.validation import (
     check_capacity,
 )
 
-from conftest import make_topology, shared_first_hop_config
+from conftest import depth_config, make_topology, shared_first_hop_config
 
 _LEAF = "b:\n  type: service\n  port: 8001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
 
@@ -100,6 +100,15 @@ class TestPathResolution:
     def test_source_in_own_path_rejected(self):
         with pytest.raises(ValidationError, match="repeated hop"):
             make_topology(_svc_a("        - path: a\n          url: /\n") + _LEAF)
+
+    def test_path_past_the_ip_ttl_warned(self):
+        # Linux starts packets at TTL 64, so the 64th router drops them
+        path = "->".join(f"r{i}" for i in range(64)) + "->b"
+        assert [w for w in make_topology(depth_config(64)).warnings if "TTL" in w] == [
+            f"service 'a' path '{path}' crosses 64 routers: packets start at IP TTL 64, "
+            "so router 64 drops them"
+        ]
+        assert not [w for w in make_topology(depth_config(63)).warnings if "TTL" in w]
 
 
 class TestRouterLinkage:
