@@ -19,11 +19,16 @@ import ssl
 import sys
 import threading
 import time
-import urllib.error
 import urllib.request
 from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+# a service started with start() notices stop() within this many seconds;
+# serve_forever() (the container entry point) keeps the default 0.5 s poll
+STOP_POLL_S = 0.02
+# an accepted connection that sends no request for this long is closed
+IDLE_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -59,26 +64,12 @@ class RuntimeConfig:
     @staticmethod
     def from_dict(d: dict) -> "RuntimeConfig":
         endpoints = tuple(
-            EndpointRuntime(
-                entrypoint=ep["entrypoint"],
-                psize=ep["psize"],
-                downstreams=tuple(Downstream(**ds) for ds in ep.get("downstreams", [])),
-            )
+            EndpointRuntime(**{
+                **ep, "downstreams": tuple(Downstream(**ds) for ds in ep.get("downstreams", ())),
+            })
             for ep in d["endpoints"]
         )
-        return RuntimeConfig(
-            name=d["name"],
-            port=d["port"],
-            endpoints=endpoints,
-            scheme=d.get("scheme", "http"),
-            family=d.get("family", "v4"),
-            host=d.get("host", ""),
-            tracing_endpoint=d.get("tracing_endpoint"),
-            span_sink_file=d.get("span_sink_file"),
-            payload_seed=d.get("payload_seed"),
-            downstream_timeout_s=d.get("downstream_timeout_s", 5.0),
-            tls=d.get("tls"),
-        )
+        return RuntimeConfig(**{**d, "endpoints": endpoints})
 
     @staticmethod
     def load(path: str) -> "RuntimeConfig":
@@ -127,6 +118,7 @@ class SpanExporter:
         self._delivering = False  # a drained batch is still being written
         self._maxlen = maxlen
         self._lock = threading.Lock()
+        self._delivered = threading.Condition(self._lock)  # notified after each batch
         self._wake = threading.Event()
         self._closed = False
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -148,16 +140,15 @@ class SpanExporter:
         return batch
 
     def _run(self):
-        while True:
-            self._wake.wait(timeout=0.2)
+        while not (self._closed and not self._queue):
+            self._wake.wait()
             self._wake.clear()
             batch = self._drain()
             if batch:
                 self._deliver(batch)
                 with self._lock:
                     self._delivering = False
-            if self._closed and not self._queue:
-                return
+                    self._delivered.notify_all()
 
     def _deliver(self, batch: list[SpanRecord]):
         payload = "\n".join(json.dumps(r.to_wire(), sort_keys=True) for r in batch) + "\n"
@@ -176,7 +167,7 @@ class SpanExporter:
                     headers={"Content-Type": "application/x-ndjson"},
                 )
                 urllib.request.urlopen(req, timeout=2.0).read()
-            except (urllib.error.URLError, OSError, ValueError):
+            except (OSError, ValueError):  # URLError is an OSError
                 lost = True
         if lost:
             with self._lock:  # export() counts overflow drops concurrently
@@ -184,14 +175,8 @@ class SpanExporter:
 
     def flush(self, timeout: float = 2.0):
         """Wait until every exported span has been delivered (or ``timeout``)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                empty = not self._queue and not self._delivering
-            if empty:
-                return
-            self._wake.set()
-            time.sleep(0.01)
+        with self._lock:
+            self._delivered.wait_for(lambda: not self._queue and not self._delivering, timeout)
 
     def close(self):
         self._closed = True
@@ -232,6 +217,7 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def setup(self):
+        self.timeout = IDLE_TIMEOUT_S  # read per connection, not at import
         super().setup()
         self.server.microservice._track_inbound(self.connection, True)
 
@@ -337,7 +323,9 @@ class Microservice:
         return self._endpoints.get(path)
 
     def start(self):
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(STOP_POLL_S,), daemon=True
+        )
         self._thread.start()
 
     def stop(self):
@@ -379,62 +367,39 @@ class Microservice:
         trace_id = parent[0] if parent else self._new_id(16)
         server_span_id = self._new_id(8)
         start_ns = time.time_ns()
-        spans: list[SpanRecord] = []
-        failed_hop: str | None = None
-
+        calls = []  # (span id, downstream, start, end, ok)
         for ds in endpoint.downstreams:
-            child_id = self._new_id(8)
-            child_start = time.time_ns()
-            ok = self._call_downstream(ds, trace_id, child_id)
-            child_end = time.time_ns()
-            spans.append(
-                SpanRecord(
-                    trace_id=trace_id,
-                    span_id=child_id,
-                    parent_span_id=server_span_id,
-                    name=f"call {ds.name}{ds.url}",
-                    start_ns=child_start,
-                    end_ns=child_end,
-                    attributes={
-                        "peer": ds.name,
-                        "entrypoint": ds.url,
-                        "status": "ok" if ok else "error",
-                    },
-                )
-            )
-            if not ok:
-                failed_hop = ds.name
-                break  # fail fast; remaining downstreams are not queried
-
-        if failed_hop is not None:
-            status, body, ctype = (
-                502,
-                f"downstream '{failed_hop}' failed".encode(),
-                "text/plain",
-            )
+            span_id = self._new_id(8)
+            call_start = time.time_ns()
+            ok = self._call_downstream(ds, trace_id, span_id)
+            calls.append((span_id, ds, call_start, time.time_ns(), ok))
+            if not ok:  # fail fast; remaining downstreams are not queried
+                reply = 502, f"downstream '{ds.name}' failed".encode(), "text/plain"
+                break
         else:
-            status, body, ctype = 200, self._payload(endpoint.psize), "application/octet-stream"
+            reply = 200, self._payload(endpoint.psize), "application/octet-stream"
 
         if self.exporter:
-            spans.insert(
-                0,
+            svc, entrypoint = self.config.name, endpoint.entrypoint
+            spans = [SpanRecord(
+                trace_id=trace_id, span_id=server_span_id,
+                parent_span_id=parent[1] if parent else None,
+                name=f"{svc}{entrypoint}", start_ns=start_ns, end_ns=time.time_ns(),
+                attributes={"peer": svc, "entrypoint": entrypoint, "status": str(reply[0])},
+            )]
+            spans += (
                 SpanRecord(
-                    trace_id=trace_id,
-                    span_id=server_span_id,
-                    parent_span_id=parent[1] if parent else None,
-                    name=f"{self.config.name}{endpoint.entrypoint}",
-                    start_ns=start_ns,
-                    end_ns=time.time_ns(),
+                    trace_id=trace_id, span_id=span_id, parent_span_id=server_span_id,
+                    name=f"call {ds.name}{ds.url}", start_ns=start, end_ns=end,
                     attributes={
-                        "peer": self.config.name,
-                        "entrypoint": endpoint.entrypoint,
-                        "status": str(status),
+                        "peer": ds.name, "entrypoint": ds.url, "status": "ok" if ok else "error",
                     },
-                ),
+                )
+                for span_id, ds, start, end, ok in calls
             )
             for record in spans:
                 self.exporter.export(record)
-        return status, body, ctype
+        return reply
 
     def _call_downstream(self, ds: Downstream, trace_id: str, span_id: str) -> bool:
         key = (ds.scheme, ds.address, ds.port)

@@ -34,9 +34,10 @@ import heapq
 import random
 import struct
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import accumulate, chain, repeat
 
 from .errors import WorkloadUnreachableError
 from .model import ImpairmentSpec
@@ -482,11 +483,13 @@ def build_sim(topology: ValidatedTopology, seed: int = 0, params: ModelParams | 
     return SimWorld(topology, seed=seed, params=params)
 
 
-def _percentile(sorted_vals: list[float], q: float) -> float:
-    if not sorted_vals:
+def _percentile(values: list[float], ends: list[int], q: float) -> float:
+    """The q-quantile of sorted ``values`` where value i fills positions below ``ends[i]``."""
+    if not values:
         return 0.0
-    idx = min(len(sorted_vals) - 1, max(0, int(round(q * (len(sorted_vals) - 1)))))
-    return sorted_vals[idx]
+    n = ends[-1]
+    idx = min(n - 1, max(0, int(round(q * (n - 1)))))
+    return values[bisect_right(ends, idx)]
 
 
 def run(world: SimWorld, workload: Workload) -> SimReport:
@@ -503,7 +506,7 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
     end_us = start_us + workload.duration_s * S
     route = ("__client__", workload.service)
     stats = {"issued": 0, "completed": 0, "failed": 0, "in_window": 0}
-    rtts: list[float] = []
+    rtts: Counter[float] = Counter()  # RTT -> requests; far fewer keys than requests
 
     closed = workload.mode == "closed"
 
@@ -512,7 +515,7 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
             stats["completed"] += 1
             if world.now <= end_us:
                 stats["in_window"] += 1
-            rtts.append(rtt)
+            rtts[rtt] += 1
         else:
             stats["failed"] += 1
         if closed and world.now < end_us:
@@ -540,12 +543,17 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
 
     hard_stop = end_us + world.params.request_deadline_us + world.params.rto_us
     world.run_until(hard_stop)
-    # anything still unresolved at the hard stop counts as failed
+    # anything still unresolved at the hard stop fails; a downstream call ends
+    # with it silently, so nothing is sent or counted after the run
     for ex in list(world.exchanges.values()):
-        if ex.route == route:
-            ex.finish(False)
+        if ex.route != route:
+            ex.on_done = lambda _ok, _rtt: None
+        ex.finish(False)
 
-    rtts.sort()
+    values = sorted(rtts)
+    ends = list(accumulate(rtts[v] for v in values))
+    # summed in sorted order, one addition per request, as over a sorted list
+    total_rtt = sum(chain.from_iterable(repeat(v, rtts[v]) for v in values))
     completed = stats["completed"]
     entity_bytes = {
         name: {"rx": model.rx, "tx": model.tx} for name, model in world.entities.items()
@@ -559,10 +567,10 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
         completed=completed,
         failed=stats["failed"],
         achieved_rate=stats["in_window"] / workload.duration_s if workload.duration_s else 0.0,
-        rtt_count=len(rtts),
-        rtt_mean_us=sum(rtts) / len(rtts) if rtts else 0.0,
-        rtt_p50_us=_percentile(rtts, 0.50),
-        rtt_p99_us=_percentile(rtts, 0.99),
+        rtt_count=completed,
+        rtt_mean_us=total_rtt / completed if completed else 0.0,
+        rtt_p50_us=_percentile(values, ends, 0.50),
+        rtt_p99_us=_percentile(values, ends, 0.99),
         entity_bytes=entity_bytes,
         link_bytes=link_bytes,
         timer_events=world.timer_timeline(workload.start_s + workload.duration_s),

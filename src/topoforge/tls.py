@@ -1,8 +1,9 @@
 """Deterministic TLS material for the HTTPS generation option.
 
-One self-signed authority plus a leaf certificate per service.  Keys are
-Ed25519 derived from a seed, signatures are deterministic, and validity
-bounds are fixed constants, so the emitted PEM bytes are reproducible.
+One self-signed authority plus a leaf certificate per service, signed with
+the authority's own key.  Keys are Ed25519 derived from a seed, signatures
+are deterministic, and validity bounds are fixed constants, so the emitted
+PEM bytes are reproducible.
 """
 
 from __future__ import annotations
@@ -44,7 +45,19 @@ def _key_pem(key: Ed25519PrivateKey) -> bytes:
     )
 
 
-def generate_authority(seed: int = 0) -> CertMaterial:
+@dataclass(frozen=True)
+class Authority:
+    """The self-signed certificate authority and the key it signs leaves with."""
+
+    key: Ed25519PrivateKey
+    cert: x509.Certificate
+
+    @property
+    def cert_pem(self) -> bytes:
+        return self.cert.public_bytes(serialization.Encoding.PEM)
+
+
+def generate_authority(seed: int = 0) -> Authority:
     key = _derive_key(seed, "authority")
     name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "topoforge-ca")])
     cert = (
@@ -58,14 +71,12 @@ def generate_authority(seed: int = 0) -> CertMaterial:
         .add_extension(x509.BasicConstraints(ca=True, path_length=0), critical=True)
         .sign(key, algorithm=None)
     )
-    return CertMaterial(cert.public_bytes(serialization.Encoding.PEM), _key_pem(key))
+    return Authority(key, cert)
 
 
 def generate_leaf(
-    authority: CertMaterial, name: str, addresses: list[str], seed: int = 0
+    authority: Authority, name: str, addresses: list[str], seed: int = 0
 ) -> CertMaterial:
-    ca_key = _derive_key(seed, "authority")
-    ca_cert = x509.load_pem_x509_certificate(authority.cert_pem)
     key = _derive_key(seed, f"leaf:{name}")
     sans: list[x509.GeneralName] = [x509.DNSName(name)]
     for addr in addresses:
@@ -73,12 +84,12 @@ def generate_leaf(
     cert = (
         x509.CertificateBuilder()
         .subject_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, name)]))
-        .issuer_name(ca_cert.subject)
+        .issuer_name(authority.cert.subject)
         .public_key(key.public_key())
         .serial_number(_serial(seed, f"leaf:{name}"))
         .not_valid_before(NOT_BEFORE)
         .not_valid_after(NOT_AFTER)
         .add_extension(x509.SubjectAlternativeName(sans), critical=False)
-        .sign(ca_key, algorithm=None)
+        .sign(authority.key, algorithm=None)
     )
     return CertMaterial(cert.public_bytes(serialization.Encoding.PEM), _key_pem(key))

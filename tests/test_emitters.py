@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 import yaml
+from cryptography import x509
 
 import topoforge as tf
+from topoforge import tls
 from topoforge.deploy import (
     COLLECTOR_NAME,
     GenerationOptions,
@@ -198,6 +200,18 @@ class TestHttps:
         _np, a = _plan(fig4_topology, scheme="https", seed=7)
         _np, b = _plan(fig4_topology, scheme="https", seed=8)
         assert a.materials["certs/ca.crt"] != b.materials["certs/ca.crt"]
+
+    def test_leaves_verify_with_the_authority_key(self, fig4_topology):
+        _np, plan = _plan(fig4_topology, scheme="https", seed=7)
+        ca = x509.load_pem_x509_certificate(plan.materials["certs/ca.crt"])
+        leaves = [plan.materials[f"certs/{name}.crt"] for name in ("frontend", "db", "payment")]
+        # a leaf seed other than the authority's still signs with the CA's key
+        leaves.append(tls.generate_leaf(tls.generate_authority(7), "svc", [], seed=8).cert_pem)
+        for pem in leaves:
+            leaf = x509.load_pem_x509_certificate(pem)
+            assert leaf.issuer == ca.subject
+            # raises InvalidSignature unless the CA's key signed the leaf
+            ca.public_key().verify(leaf.signature, leaf.tbs_certificate_bytes)
 
 
 class TestOptionConflicts:

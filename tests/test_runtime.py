@@ -15,7 +15,7 @@ import urllib.request
 
 import pytest
 
-from topoforge import tls
+from topoforge import runtime, tls
 from topoforge.runtime import (
     Downstream,
     EndpointRuntime,
@@ -462,6 +462,45 @@ class TestDownstreamConnections:
             while leaf._inbound and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert not leaf._inbound
+        finally:
+            front.stop()
+            leaf.stop()
+
+
+class TestLifecycle:
+    def test_stop_right_after_a_request_is_prompt(self):
+        svc = _service("svc", [EndpointRuntime("/", 32)])
+        assert _get(svc.port, "/")[0] == 200
+        t0 = time.monotonic()
+        svc.stop()
+        # serve_forever's default 0.5 s poll would make this wait about 0.5 s
+        assert time.monotonic() - t0 < 0.2
+
+    def test_idle_connections_time_out(self, monkeypatch):
+        monkeypatch.setattr(runtime, "IDLE_TIMEOUT_S", 0.2)
+        front, (leaf,) = _fanout_stack(leaves=1)
+        accepted = _count_accepts(leaf)
+        handlers = []  # the leaf's handler threads, in accept order
+        track = leaf._track_inbound
+
+        def recording(sock, is_open):
+            if is_open:
+                handlers.append(threading.current_thread())
+            track(sock, is_open)
+
+        leaf._track_inbound = recording
+        try:
+            with socket.create_connection(("127.0.0.1", leaf.port), timeout=3) as silent:
+                assert silent.recv(1) == b""  # the leaf closed the silent connection
+            handlers[0].join(timeout=3)
+            assert not handlers[0].is_alive()
+            assert _get(front.port, "/")[0] == 200
+            # the leaf also closes the connection the front keeps in its pool
+            handlers[1].join(timeout=3)
+            assert not handlers[1].is_alive()
+            status, body, _ = _get(front.port, "/")
+            assert status == 200 and len(body) == 1024
+            assert len(accepted) == 3  # silent, pooled, then the one retry
         finally:
             front.stop()
             leaf.stop()

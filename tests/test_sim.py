@@ -1,7 +1,9 @@
 """Discrete-event harness: link models, workloads, determinism."""
 
+import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -284,6 +286,23 @@ class TestReliability:
         assert heap_left[1] <= heap_left[0]
         assert timers_left == [0, 0]
 
+    def test_memory_bounded_by_in_flight_work(self, fig4_topology):
+        peaks = []
+        for duration_s in (0.02, 0.08):
+            world = build_sim(fig4_topology, seed=0)
+            w = tf.Workload(service="frontend", entrypoint="/", mode="closed", clients=8,
+                            duration_s=duration_s)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run(world, w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the longer run serves about 2,900 more requests; keeping a float
+        # per request would add about 90 kB to its peak
+        assert peaks[1] - peaks[0] < 30_000, peaks
+
 
 def _log_sends(world) -> list[tuple[str, str, float, int]]:
     """Wrap ``world.forward`` to log (kind, source, time, exchange id) of each
@@ -338,7 +357,19 @@ class TestTimers:
             10 + k * 200 * MS for k in range(9)
         ]
         assert [kind for kind, _src, _t, _eid in sends] == ["request"] * 14
-        assert finishes == [(1, 1 * S)]
+        # the client request fails at its deadline; a's call ends at the hard stop
+        assert finishes == [(1, 1 * S), (2, 1.7 * S)]
+
+    def test_downstream_calls_end_with_the_run(self):
+        world = build_sim(make_topology(loss_chain_config(100)), seed=0)
+        sends = _log_sends(world)
+        report = run(world, tf.Workload(service="a", mode="closed", clients=1, duration_s=0.5))
+        assert world.exchanges == {}
+        assert all(not q.entries for q in world._timer_queues.values())
+        # a's call ends without an error reply to the client: a sent only
+        # its 9 request attempts to b
+        assert [kind for kind, src, _t, _eid in sends if src == "a"] == ["request"] * 9
+        assert report.entity_bytes["a"]["tx"] == 9 * world.params.request_bytes
 
     def test_deadline_before_the_rto_allows_one_attempt(self):
         # a's call to b fails at its 50 ms deadline, before any retransmit,
