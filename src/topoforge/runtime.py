@@ -27,7 +27,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 # a service started with start() notices stop() within this many seconds;
 # serve_forever() (the container entry point) keeps the default 0.5 s poll
 STOP_POLL_S = 0.02
-# an accepted connection that sends no request for this long is closed
+# an accepted connection that sends no request for this long is closed; a
+# caller closes its pooled connections after half of it, before the peer does
 IDLE_TIMEOUT_S = 60.0
 
 
@@ -184,7 +185,8 @@ class SpanExporter:
         self.flush()
 
 
-_TRACEPARENT_RE = re.compile(r"^00-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$")
+# W3C Trace Context: an all-zero trace-id or parent-id is invalid
+_TRACEPARENT_RE = re.compile(r"^00-(?!0{32})([0-9a-f]{32})-(?!0{16})([0-9a-f]{16})-([0-9a-f]{2})$")
 
 
 def parse_traceparent(value: str | None) -> tuple[str, str] | None:
@@ -404,9 +406,15 @@ class Microservice:
     def _call_downstream(self, ds: Downstream, trace_id: str, span_id: str) -> bool:
         key = (ds.scheme, ds.address, ds.port)
         headers = {"traceparent": format_traceparent(trace_id, span_id)}
+        stale_before = time.monotonic() - IDLE_TIMEOUT_S / 2
         with self._conn_lock:
             idle = self._idle.get(key) if self._idle is not None else None
+            stale = []
+            while idle and idle[0].pooled_at < stale_before:  # pooled oldest first
+                stale.append(idle.pop(0))
             conn = idle.pop() if idle else None
+        for old in stale:
+            old.close()
         if conn is not None:
             try:
                 return self._exchange(key, conn, ds.url, headers)
@@ -448,6 +456,7 @@ class Microservice:
         if not resp.will_close:
             with self._conn_lock:
                 if self._idle is not None:
+                    conn.pooled_at = time.monotonic()
                     self._idle.setdefault(key, []).append(conn)
                     return resp.status == 200
         conn.close()

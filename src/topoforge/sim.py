@@ -23,8 +23,8 @@ Every timer is armed at now plus one of a few constants (the rto and each
 class's deadline), so the timers of one constant fire in the order they were
 armed.  Each constant keeps them in a FIFO whose head alone has an event in
 the heap (the fixed-interval case of Varghese & Lauck, "Hashed and
-Hierarchical Timing Wheels", SOSP 1987): a timer whose exchange finishes
-first gets no event of its own.
+Hierarchical Timing Wheels", SOSP 1987).  A finishing exchange cancels its
+timers, so the queues hold only the timers of live exchanges.
 """
 
 from __future__ import annotations
@@ -224,39 +224,36 @@ class _LinkDir:
 class _TimerQueue:
     """Timers armed at now + one constant delay, so they fire in arming order.
 
-    Only the head has an event in the heap.  A finishing exchange pops the
-    entries of finished exchanges off the heads of its queues, and a firing
-    head skips them, so a timer of a finished exchange is never dispatched.
+    ``entries`` maps exchange id -> (fire time, exchange, callback) in arming
+    order, with at most one entry per exchange.  Only the head has an event in
+    the heap.  A finishing exchange deletes its own entry, so every entry
+    belongs to a live exchange and fires without a check.
     """
 
     __slots__ = ("world", "entries", "scheduled")
 
     def __init__(self, world: "SimWorld"):
         self.world = world
-        self.entries: deque[tuple] = deque()  # (fire time, exchange, callback)
+        self.entries: dict[int, tuple] = {}
         self.scheduled = False  # an event for this queue is in the heap
 
     def push(self, t: float, ex: "_Exchange", fn):
-        self.entries.append((t, ex, fn))
+        self.entries[ex.eid] = (t, ex, fn)
         if not self.scheduled:
             self.scheduled = True
             self.world.schedule_at(t, self._fire)
 
-    def prune(self):
-        entries, live = self.entries, self.world.exchanges
-        while entries and entries[0][1].eid not in live:
-            entries.popleft()
-
     def _fire(self, now: float):
-        entries, live = self.entries, self.world.exchanges
-        while entries and entries[0][0] <= now:
-            _t, ex, fn = entries.popleft()
-            if ex.eid in live:
-                fn(ex)
-        self.prune()
-        self.scheduled = bool(entries)
-        if entries:
-            self.world.schedule_at(entries[0][0], self._fire)
+        entries = self.entries
+        while entries:
+            eid = next(iter(entries))
+            t, ex, fn = entries[eid]
+            if t > now:
+                self.world.schedule_at(t, self._fire)
+                return
+            del entries[eid]
+            fn(ex)
+        self.scheduled = False
 
 
 class _Exchange:
@@ -295,8 +292,8 @@ class _Exchange:
 
     def finish(self, ok: bool):
         del self.world.exchanges[self.eid]
-        self.world.rto_timers.prune()
-        self.timers.prune()
+        self.world.rto_timers.entries.pop(self.eid, None)
+        self.timers.entries.pop(self.eid, None)
         self.on_done(ok, self.world.now - self.issued_at)
 
 

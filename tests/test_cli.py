@@ -39,6 +39,20 @@ def test_generate_compose(tmp_path, capsys):
     assert f"wrote {out / 'compose.yml'}" in capsys.readouterr().out
 
 
+def test_image_environment_variables(tmp_path, monkeypatch):
+    monkeypatch.setenv("TOPOFORGE_SERVICE_IMAGE", "registry.local/svc:1")
+    monkeypatch.setenv("TOPOFORGE_ROUTER_IMAGE", "registry.local/rtr:1")
+    monkeypatch.setenv("TOPOFORGE_COLLECTOR_IMAGE", "registry.local/col:1")
+    out = tmp_path / "out"
+    assert cli.main(["generate", FIG4, "--tracing", "--output", str(out)]) == 0
+    services = yaml.safe_load((out / "compose.yml").read_text())["services"]
+    assert {name: svc["image"] for name, svc in services.items()} == {
+        "frontend": "registry.local/svc:1", "db": "registry.local/svc:1",
+        "payment": "registry.local/svc:1", "r1": "registry.local/rtr:1",
+        "jaeger": "registry.local/col:1",
+    }
+
+
 def test_generate_k8s_writes_only_manifests(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["generate", FIG4, "--target", "k8s", "--https", "--output", str(out)]) == 0

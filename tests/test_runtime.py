@@ -500,10 +500,73 @@ class TestLifecycle:
             assert not handlers[1].is_alive()
             status, body, _ = _get(front.port, "/")
             assert status == 200 and len(body) == 1024
-            assert len(accepted) == 3  # silent, pooled, then the one retry
+            assert len(accepted) == 3  # silent, pooled, then a fresh one
         finally:
             front.stop()
             leaf.stop()
+
+    def test_stale_pooled_connections_closed_before_the_peer_does(self, monkeypatch):
+        # the caller drops pooled connections after IDLE_TIMEOUT_S / 2, the
+        # leaves close theirs after IDLE_TIMEOUT_S
+        monkeypatch.setattr(runtime, "IDLE_TIMEOUT_S", 0.4)
+        burst = 4
+        front, leaves = _fanout_stack()
+        accepted = [_count_accepts(leaf) for leaf in leaves]
+        for leaf in leaves:
+            # hold every request of the burst at each leaf until all have
+            # arrived, so each leaf sees ``burst`` concurrent connections
+            barrier = threading.Barrier(burst, timeout=5)
+
+            def gated(endpoint, traceparent, barrier=barrier, handle=leaf.handle_request):
+                barrier.wait()
+                return handle(endpoint, traceparent)
+
+            leaf.handle_request = gated
+        exchanges = []  # (connection, exception or None) of each downstream exchange
+        exchange = front._exchange
+
+        def recording(key, conn, url, headers):
+            try:
+                ok = exchange(key, conn, url, headers)
+            except Exception as exc:
+                exchanges.append((conn, exc))
+                raise
+            exchanges.append((conn, None))
+            return ok
+
+        front._exchange = recording
+        try:
+            statuses = []
+            threads = [
+                threading.Thread(target=lambda: statuses.append(_get(front.port, "/")[0]))
+                for _ in range(burst)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert statuses == [200] * burst
+            stale = [conn for conns in front._idle.values() for conn in conns]
+            assert len(stale) == burst * len(leaves)
+            assert [len(a) for a in accepted] == [burst] * len(leaves)
+
+            time.sleep(0.6)  # past both bounds: the leaves closed their ends
+            for leaf in leaves:
+                del leaf.handle_request  # ungated
+            del exchanges[:]
+            status, body, _ = _get(front.port, "/")
+            assert status == 200 and len(body) == 1024
+            assert all(conn.sock is None for conn in stale)
+            # one exchange per leaf, each on a fresh connection: no reset, no retry
+            assert [exc for _conn, exc in exchanges] == [None] * len(leaves)
+            assert not {id(conn) for conn, _exc in exchanges} & {id(conn) for conn in stale}
+            assert [len(a) for a in accepted] == [burst + 1] * len(leaves)
+            assert [len(conns) for conns in front._idle.values()] == [1] * len(leaves)
+        finally:
+            front.stop()
+            for leaf in leaves:
+                leaf.stop()
 
 
 class TestHttps:
@@ -561,7 +624,10 @@ class TestTraceparent:
 
     @pytest.mark.parametrize(
         "bad",
-        [None, "", "00-xyz-abc-01", "00-" + "a" * 31 + "-" + "b" * 16 + "-01", "garbage"],
+        [
+            None, "", "00-xyz-abc-01", "00-" + "a" * 31 + "-" + "b" * 16 + "-01", "garbage",
+            "00-" + "0" * 32 + "-" + "b" * 16 + "-01", "00-" + "a" * 32 + "-" + "0" * 16 + "-01",
+        ],
     )
     def test_invalid(self, bad):
         assert parse_traceparent(bad) is None

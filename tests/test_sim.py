@@ -11,7 +11,7 @@ import pytest
 import topoforge as tf
 from topoforge.errors import WorkloadUnreachableError
 from topoforge.model import ImpairmentSpec, Rate
-from topoforge.sim import MS, S, ModelParams, _LinkDir, build_sim, run
+from topoforge.sim import MS, S, ModelParams, _Exchange, _LinkDir, build_sim, run
 
 from conftest import DATA, delay_chain_config, loss_chain_config, make_topology
 
@@ -285,6 +285,29 @@ class TestReliability:
             timers_left.append(sum(len(q.entries) for q in world._timer_queues.values()))
         assert heap_left[1] <= heap_left[0]
         assert timers_left == [0, 0]
+
+    @pytest.mark.parametrize(
+        "config, rate", [(loss_chain_config(50), 500.0), (LOSSY_CHAIN, 200.0)]
+    )
+    def test_timer_queues_hold_only_live_exchanges(self, monkeypatch, config, rate):
+        # lossy links keep some exchanges alive for many rtos while later ones
+        # finish; a finished exchange's timers must leave the queues with it
+        world = build_sim(make_topology(config), seed=0)
+        dead_after_finish = []
+        finish = _Exchange.finish
+
+        def checked_finish(ex, ok):
+            finish(ex, ok)
+            dead_after_finish.append(sum(
+                world.exchanges.get(eid) is not entry[1]
+                for q in world._timer_queues.values() for eid, entry in q.entries.items()
+            ))
+
+        monkeypatch.setattr(_Exchange, "finish", checked_finish)
+        report = run(world, tf.Workload(service="a", mode="open", rate=rate, duration_s=0.5))
+        assert report.issued == int(rate * 0.5)
+        assert len(dead_after_finish) > report.issued  # client requests and their calls
+        assert max(dead_after_finish) == 0
 
     def test_memory_bounded_by_in_flight_work(self, fig4_topology):
         peaks = []
