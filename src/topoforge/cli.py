@@ -161,8 +161,8 @@ def cmd_inspect(args) -> int:
     for (entity, subnet), addr in sorted(np.interfaces.items()):
         print(f"  {entity:<16} {subnet:<24} {addr} ({np.iface_names[(entity, subnet)]})")
     print("host ports:")
-    for svc, port in np.host_ports.items():
-        print(f"  {svc:<16} {port}")
+    for svc, spec in topo.services.items():
+        print(f"  {svc:<16} {spec.port}")
     print("setup commands:")
     for entity, cmds in np.setup.items():
         print(f"  {entity}:")

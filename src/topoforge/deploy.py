@@ -188,7 +188,8 @@ def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> De
         )
         if role == "service":
             spec.config_payload = _runtime_config(t, np, name, opts)
-            spec.ports = [(np.host_ports[name], t.services[name].port)]
+            port = t.services[name].port
+            spec.ports = [(port, port)]
             if opts.tracing:
                 spec.environment["TRACE_COLLECTOR_ENDPOINT"] = collector_endpoint(np)
             if authority is not None:

@@ -34,7 +34,7 @@ class SchemaError(LocatedError):
     """The document is well-formed but violates the config schema."""
 
 
-class PathSyntaxError(TopoforgeError):
+class PathSyntaxError(LocatedError):
     """A hop path string could not be parsed."""
 
 

@@ -59,6 +59,8 @@ def measure_max_rate(
     ``precision`` is relative: the ramp stops once doubling the client
     population improves the achieved rate by less than that fraction.
     """
+    if not precision >= 0:
+        raise ValueError(f"precision must be >= 0, got {precision}")
     params = params or ModelParams()
     probes: list[tuple[int, float]] = []
     best = 0.0

@@ -161,10 +161,6 @@ class TimerSpec:
     duration: float  # seconds the override stays active
     new_value: object  # typed like the named option
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
 
 @dataclass(frozen=True)
 class ImpairmentSpec:
@@ -184,12 +180,6 @@ class ImpairmentSpec:
     duplicate: float | None = None
     reorder: float | None = None
     timers: tuple[TimerSpec, ...] = ()
-
-    def option_value(self, option: str):
-        return getattr(self, option)
-
-    def replace_option(self, option: str, value) -> "ImpairmentSpec":
-        return replace(self, **{option: value})
 
 
 def merge_declarations(

@@ -8,13 +8,12 @@ setup command sequences plus timer scripts in the ``ip``/``tc`` dialect.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CapacityExceededError, ConflictingRouteError, OptionConflictError
 from .model import (
     PERCENT_OPTIONS,
     ImpairmentSpec,
-    TimerSpec,
     format_number,
     format_percent,
     format_us,
@@ -29,6 +28,7 @@ PREFIX_V4 = 22
 PREFIX_V6 = 64
 
 BRIDGE_NET = "bridge"
+_UNSHAPED = ImpairmentSpec()  # what the boot-time netem line changes from
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class NetPlan:
     subnets: list[Subnet] = field(default_factory=list)
     # (entity, subnet name) -> address string
     interfaces: dict[tuple[str, str], str] = field(default_factory=dict)
-    host_ports: dict[str, int] = field(default_factory=dict)
     setup: dict[str, list[str]] = field(default_factory=dict)
     timer_scripts: dict[str, str] = field(default_factory=dict)
     # (entity, subnet name) -> in-container interface name
@@ -58,19 +57,15 @@ class NetPlan:
     # by plan_routes
     egress: dict[str, dict[str, ImpairmentSpec]] = field(default_factory=dict)
     # indexes over the above, filled by allocate_networks
-    _by_name: dict[str, Subnet] = field(default_factory=dict, repr=False)
-    _by_link: dict[tuple[str, str], Subnet] = field(default_factory=dict, repr=False)
+    # link_key pair -> link subnet name
+    _by_link: dict[tuple[str, str], str] = field(default_factory=dict, repr=False)
     # entity -> (subnet name, address) pairs, in subnet order
     _attachments: dict[str, list[tuple[str, str]]] = field(default_factory=dict, repr=False)
 
-    def subnet_by_name(self, name: str) -> Subnet:
-        return self._by_name[name]
-
-    def subnet_of_pair(self, a: str, b: str) -> Subnet:
-        key = link_key(a, b)
-        if key not in self._by_link:
-            raise KeyError(f"no link subnet for pair {key}")
-        return self._by_link[key]
+    def subnet_between(self, a: str, b: str) -> str:
+        """Name of the subnet joining two entities: their link subnet, else
+        the bridge."""
+        return self._by_link.get(link_key(a, b), BRIDGE_NET)
 
     def address(self, entity: str, subnet_name: str) -> str:
         return self.interfaces[(entity, subnet_name)]
@@ -88,12 +83,14 @@ def link_subnet_name(a: str, b: str) -> str:
 def endpoint_addresses(np: NetPlan, hops: tuple[str, ...]) -> tuple[str, str]:
     """Addresses that a path's packets are sent to: (terminal, source).
 
-    A direct connection uses the bridge subnet; a routed path uses its last
-    link for the terminal and its first link for the source.
+    The terminal's address on the subnet toward its last hop, and the
+    source's on the subnet toward its first: the bridge for a direct
+    connection, a link subnet for a routed path.
     """
-    if len(hops) == 2:
-        return np.address(hops[1], BRIDGE_NET), np.address(hops[0], BRIDGE_NET)
-    return _addr_on(np, hops[-1], hops[-2], hops[-1]), _addr_on(np, hops[0], hops[0], hops[1])
+    return (
+        np.address(hops[-1], np.subnet_between(hops[-2], hops[-1])),
+        np.address(hops[0], np.subnet_between(hops[0], hops[1])),
+    )
 
 
 def allocate_networks(
@@ -102,7 +99,7 @@ def allocate_networks(
     base: str | None = None,
     extra_bridge_members: tuple[str, ...] = (),
 ) -> NetPlan:
-    """Allocate subnets, interface addresses, and host ports.
+    """Allocate subnets and interface addresses.
 
     Deterministic: link pairs in lexicographic order step sequential subnets
     out of ``base``; within each subnet, members sorted by name get host
@@ -137,12 +134,11 @@ def allocate_networks(
         members_of.append((sn, sorted(bridge_members)))
     for a, b in t.routed_pairs:
         sn = Subnet(name=link_subnet_name(a, b), cidr=str(next(pool)), role="link", link=(a, b))
-        np._by_link[sn.link] = sn
+        np._by_link[sn.link] = sn.name
         members_of.append((sn, [a, b]))
 
     for sn, members in members_of:
         np.subnets.append(sn)
-        np._by_name[sn.name] = sn
         hosts = sn.network.network_address + 2  # .1/::1 is the docker gateway
         for i, member in enumerate(members):
             addr = str(hosts + i)
@@ -150,9 +146,6 @@ def allocate_networks(
             np.interfaces[(member, sn.name)] = addr
             np.iface_names[(member, sn.name)] = f"eth{len(attached)}"
             attached.append((sn.name, addr))
-
-    for name, svc in t.services.items():
-        np.host_ports[name] = svc.port
     return np
 
 
@@ -169,45 +162,24 @@ def timer_window(start: float, duration: float) -> tuple[float, float]:
     return (start, start + duration)
 
 
-def effective_impairments(base: ImpairmentSpec, t: float) -> ImpairmentSpec:
-    """Impairment values in force at virtual/wall time ``t`` seconds.
-
-    Overlapping timers on the same option: the latest-starting active
-    window wins (last writer).
-    """
-    eff = base
-    for option in {tm.option for tm in base.timers}:
-        winner = None
-        for tm in base.timers:
-            if tm.option != option:
-                continue
-            lo, hi = timer_window(tm.start, tm.duration)
-            if lo <= t < hi and (winner is None or tm.start >= winner.start):
-                winner = tm
-        if winner is not None:
-            eff = eff.replace_option(option, winner.new_value)
-    return eff
-
-
-def timer_boundaries(timers: tuple[TimerSpec, ...]) -> list[float]:
-    times = set()
-    for tm in timers:
-        lo, hi = timer_window(tm.start, tm.duration)
-        times.add(lo)
-        times.add(hi)
-    return sorted(times)
-
-
 def impairment_timeline(spec: ImpairmentSpec) -> list[tuple[float, ImpairmentSpec]]:
     """(start seconds, values in force) segments of a connection's options.
 
-    Piecewise constant: one segment from 0 and one from each timer
-    boundary, each holding the effective values with the timers stripped.
+    Piecewise constant: one segment from 0 and one from each window edge,
+    each holding the base values, timers stripped, with every active
+    override applied.  Overlapping overrides of one option: the latest start
+    wins, and on equal starts the later declaration.
     """
     if not spec.timers:
         return [(0.0, spec)]
-    times = sorted({0.0, *timer_boundaries(spec.timers)})
-    return [(t, effective_impairments(spec, t).replace_option("timers", ())) for t in times]
+    windows = [(timer_window(tm.start, tm.duration), tm) for tm in spec.timers]
+    edges = sorted({0.0, *(t for window, _tm in windows for t in window)})
+    timeline = []
+    for t in edges:
+        # a stable sort by start puts the winner of each option last
+        active = sorted((tm for (lo, hi), tm in windows if lo <= t < hi), key=lambda tm: tm.start)
+        timeline.append((t, replace(spec, timers=(), **{tm.option: tm.new_value for tm in active})))
+    return timeline
 
 
 # --- command rendering -------------------------------------------------------
@@ -233,47 +205,48 @@ def _netem_params(opt: ImpairmentSpec) -> str:
     return " ".join(parts)
 
 
+def _impairment_commands(prev: ImpairmentSpec, new: ImpairmentSpec, iface: str) -> list[str]:
+    """Commands taking one interface from ``prev``'s impairments to ``new``'s.
+
+    Fixed order: MTU first, then a single netem queuing discipline carrying
+    everything else, added if ``prev`` had none and changed otherwise.
+    """
+    cmds = []
+    if new.mtu is not None and new.mtu != prev.mtu:
+        cmds.append(f"ip link set dev {iface} mtu {new.mtu}")
+    params = _netem_params(new)
+    if params:
+        prev_params = _netem_params(prev)
+        if params != prev_params:
+            verb = "change" if prev_params else "add"
+            cmds.append(f"tc qdisc {verb} dev {iface} root netem {params}")
+    return cmds
+
+
 def render_impairments(opt: ImpairmentSpec, iface: str) -> list[str]:
     """Setup commands applying a connection's impairments on one interface.
 
-    Fixed order: MTU first, then a single netem queuing discipline carrying
-    everything else.  An empty spec renders nothing.
+    An empty spec renders nothing.
     """
-    cmds = []
-    if opt.mtu is not None:
-        cmds.append(f"ip link set dev {iface} mtu {opt.mtu}")
-    params = _netem_params(opt)
-    if params:
-        cmds.append(f"tc qdisc add dev {iface} root netem {params}")
-    return cmds
+    return _impairment_commands(_UNSHAPED, opt, iface)
 
 
-def _change_commands(prev: ImpairmentSpec, new: ImpairmentSpec, iface: str) -> list[str]:
-    cmds = []
-    if new.mtu != prev.mtu and new.mtu is not None:
-        cmds.append(f"ip link set dev {iface} mtu {new.mtu}")
-    prev_net = _netem_params(prev.replace_option("mtu", None))
-    new_net = _netem_params(new.replace_option("mtu", None))
-    if new_net != prev_net and new_net:
-        cmds.append(f"tc qdisc change dev {iface} root netem {new_net}")
-    return cmds
+def render_timer_script(by_iface: dict[str, ImpairmentSpec]) -> str:
+    """POSIX shell script applying one entity's timer overrides and restoring
+    base values, the events of all its interfaces in time order.
 
-
-def timer_events(
-    timers: tuple[TimerSpec, ...], base: ImpairmentSpec, iface: str
-) -> list[tuple[float, list[str]]]:
-    """(time, commands) pairs realizing the timer schedule on one interface."""
-    prev = base.replace_option("timers", ())
+    Renders an empty script when no interface carries timers.
+    """
     events = []
-    for t, now in impairment_timeline(base.replace_option("timers", tuple(timers))):
-        cmds = _change_commands(prev, now, iface)
-        if cmds:
-            events.append((t, cmds))
-        prev = now
-    return events
-
-
-def _script_from_events(events: list[tuple[float, list[str]]]) -> str:
+    for iface, opt in by_iface.items():
+        if not opt.timers:
+            continue
+        prev = replace(opt, timers=())
+        for t, new in impairment_timeline(opt):
+            cmds = _impairment_commands(prev, new, iface)
+            if cmds:
+                events.append((t, cmds))
+            prev = new
     if not events:
         return ""
     lines = ["#!/bin/sh", "# scheduled impairment overrides"]
@@ -284,16 +257,6 @@ def _script_from_events(events: list[tuple[float, list[str]]]) -> str:
             now = t
         lines.extend(cmds)
     return "\n".join(lines) + "\n"
-
-
-def render_timer_script(
-    timers: tuple[TimerSpec, ...], base: ImpairmentSpec, iface: str
-) -> str:
-    """POSIX shell script applying timer overrides and restoring base values.
-
-    Empty timer list renders an empty script.
-    """
-    return _script_from_events(timer_events(timers, base, iface))
 
 
 # --- route planning ----------------------------------------------------------
@@ -349,21 +312,15 @@ def plan_routes(t: ValidatedTopology, np: NetPlan) -> NetPlan:
         if len(hops) < 3:
             continue  # direct connection: on-link on the bridge subnet
         dst_ip, src_ip = endpoint_addresses(np, hops)
-        # forward direction
-        add(hops[0], dst_ip, _addr_on(np, hops[1], hops[0], hops[1]))
-        for i in range(1, len(hops) - 2):
-            add(hops[i], dst_ip, _addr_on(np, hops[i + 1], hops[i], hops[i + 1]))
-        # reverse direction
-        add(hops[-1], src_ip, _addr_on(np, hops[-2], hops[-2], hops[-1]))
-        for i in range(len(hops) - 2, 1, -1):
-            add(hops[i], src_ip, _addr_on(np, hops[i - 1], hops[i - 1], hops[i]))
+        # forward direction: every hop but the last two routes via the next
+        for i in range(len(hops) - 2):
+            add(hops[i], dst_ip, np.address(hops[i + 1], np.subnet_between(hops[i], hops[i + 1])))
+        # reverse direction: every hop but the first two routes via the previous
+        for i in range(len(hops) - 1, 1, -1):
+            add(hops[i], src_ip, np.address(hops[i - 1], np.subnet_between(hops[i - 1], hops[i])))
 
     np.setup = {name: cmds for name, cmds in setup.items() if cmds}
     return np
-
-
-def _addr_on(np: NetPlan, entity: str, a: str, b: str) -> str:
-    return np.address(entity, np.subnet_of_pair(a, b).name)
 
 
 def _egress_options(t: ValidatedTopology, np: NetPlan) -> dict[str, dict[str, ImpairmentSpec]]:
@@ -389,25 +346,17 @@ def _egress_options(t: ValidatedTopology, np: NetPlan) -> dict[str, dict[str, Im
 
 
 def _iface_toward(np: NetPlan, name: str, first_hop: str) -> str | None:
-    link = np._by_link.get(link_key(name, first_hop))
-    if link is not None:
-        return np.iface_names[(name, link.name)]
-    if (name, BRIDGE_NET) in np.interfaces and (first_hop, BRIDGE_NET) in np.interfaces:
-        return np.iface_names[(name, BRIDGE_NET)]
-    return None
+    subnet = np.subnet_between(name, first_hop)
+    if (first_hop, subnet) not in np.interfaces:
+        return None
+    return np.iface_names.get((name, subnet))
 
 
 def plan_timer_scripts(t: ValidatedTopology, np: NetPlan) -> NetPlan:
     """Render one combined timer script per entity whose interfaces carry
     timers, from the egress options that plan_routes merged."""
     for name, by_iface in np.egress.items():
-        events = [
-            event
-            for iface, opt in by_iface.items()
-            if opt.timers
-            for event in timer_events(opt.timers, opt, iface)
-        ]
-        script = _script_from_events(events)
+        script = render_timer_script(by_iface)
         if script:
             np.timer_scripts[name] = script
     return np

@@ -12,7 +12,7 @@ import functools
 import yaml
 
 from . import yamlio
-from .errors import ConfigSyntaxError, SchemaError
+from .errors import ConfigSyntaxError, PathSyntaxError, SchemaError
 from .model import (
     NAME_RE,
     OPTION_KINDS,
@@ -172,7 +172,10 @@ def _parse_connection(entity: str, body, service_side: bool) -> ConnectionSpec:
     _check_keys(body, allowed, entity, "connection")
     if "path" not in body:
         raise SchemaError("connection is missing 'path'", entity, "path")
-    path = parse_path(body["path"])
+    try:
+        path = parse_path(body["path"])
+    except PathSyntaxError as exc:
+        raise PathSyntaxError(str(exc), entity, "path") from None
     url = body.get("url")
     if service_side:
         if not isinstance(url, str) or not url.startswith("/"):

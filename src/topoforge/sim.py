@@ -81,6 +81,10 @@ class Workload:
             raise ValueError("open-loop workload needs rate > 0")
         if self.mode not in ("closed", "open"):
             raise ValueError(f"unknown workload mode {self.mode!r}")
+        if not self.duration_s > 0:
+            raise ValueError("workload needs duration_s > 0")
+        if not self.start_s >= 0:
+            raise ValueError("workload needs start_s >= 0")
 
 
 @dataclass
@@ -464,7 +468,7 @@ class SimWorld:
 
     def link_param(self, a: str, b: str, option: str, t_seconds: float):
         """Value of an option on the a->b link direction at a virtual time."""
-        return self.links[(a, b)].params_at(t_seconds * S).option_value(option)
+        return getattr(self.links[(a, b)].params_at(t_seconds * S), option)
 
     def timer_timeline(self, horizon_s: float) -> list[tuple[float, str, str]]:
         events = []
@@ -563,7 +567,7 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
         issued=stats["issued"],
         completed=completed,
         failed=stats["failed"],
-        achieved_rate=stats["in_window"] / workload.duration_s if workload.duration_s else 0.0,
+        achieved_rate=stats["in_window"] / workload.duration_s,
         rtt_count=completed,
         rtt_mean_us=total_rtt / completed if completed else 0.0,
         rtt_p50_us=_percentile(values, ends, 0.50),

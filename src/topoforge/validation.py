@@ -8,7 +8,7 @@ and runs capacity checks for the chosen address family.
 from __future__ import annotations
 
 import graphlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     CapacityExceededError,
@@ -165,14 +165,14 @@ def _check_impairments(entity: str, opt: ImpairmentSpec):
 
 
 def _check_timer(entity: str, base: ImpairmentSpec, t: TimerSpec):
-    if base.option_value(t.option) is None:
+    if getattr(base, t.option) is None:
         raise TimerTargetMissingError(
             f"timer overrides '{t.option}' but the connection sets no base value for it",
             entity,
             "timers",
         )
     # range-check newValue with the same rules as a base option value
-    substituted = base.replace_option(t.option, t.new_value).replace_option("timers", ())
+    substituted = replace(base, **{t.option: t.new_value, "timers": ()})
     _check_impairments(entity, substituted)
 
 

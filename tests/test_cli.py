@@ -87,6 +87,23 @@ def test_simulate_json(capsys):
     assert report["failed"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--duration", "-1"], "workload needs duration_s > 0"),
+        (["--duration", "0"], "workload needs duration_s > 0"),
+        (["--max-rate", "--precision", "-1"], "precision must be >= 0"),
+    ],
+)
+def test_simulate_rejects_unrunnable_input(argv, message, monkeypatch, capsys):
+    def probe(*args, **kwargs):
+        raise AssertionError("probed with an invalid precision")
+
+    monkeypatch.setattr("topoforge.maxrate._probe", probe)
+    assert cli.main(["simulate", FIG4, *argv]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_ioam_needs_v6(tmp_path, capsys):
     assert cli.main(["generate", FIG4, "--ioam", "--output", str(tmp_path / "out")]) == 2
     assert "ioam requires the v6 address family" in capsys.readouterr().err

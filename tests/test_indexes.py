@@ -102,13 +102,10 @@ def test_indexes_match_scan_reference(tracing):
         assert list(np.iface_names.items()) == list(iface_names.items()), seed
         for entity in order + [COLLECTOR_NAME]:
             assert np.attachments(entity) == ref_attachments(np, entity), (seed, entity)
+        assert len({s.name for s in subnets}) == len(subnets), seed
         for s in subnets:
-            assert np.subnet_by_name(s.name) == s
             if s.role == "link":
-                assert np.subnet_of_pair(*s.link) == s
-                assert np.subnet_of_pair(*reversed(s.link)) == s
-        with pytest.raises(KeyError):
-            np.subnet_by_name("no-such-subnet")
+                assert np.subnet_between(*s.link) == s.name
+                assert np.subnet_between(*reversed(s.link)) == s.name
         for a, b in ref_direct_pairs(t):
-            with pytest.raises(KeyError):
-                np.subnet_of_pair(a, b)
+            assert np.subnet_between(a, b) == np.subnet_between(b, a) == "bridge"

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from topoforge import maxrate
 from topoforge.maxrate import measure_max_rate
 from topoforge.model import Rate
 from topoforge.sim import ModelParams
@@ -72,3 +73,20 @@ class TestRampBehaviour:
             max_clients=8,
         )
         assert all(c <= 8 for c, _r in result.probes)
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("precision", [-1.0, -0.01, float("nan")])
+    def test_invalid_precision_rejected_before_probing(self, monkeypatch, precision):
+        # a negative precision never stops the ramp short of max_clients
+        def probe(*args, **kwargs):
+            raise AssertionError("probed with an invalid precision")
+
+        monkeypatch.setattr(maxrate, "_probe", probe)
+        with pytest.raises(ValueError, match="precision must be >= 0"):
+            measure_max_rate(make_topology(LEAF), ("a", "/"), precision=precision)
+
+    def test_zero_precision_stops_on_plateau(self):
+        result = measure_max_rate(make_topology(LEAF), ("a", "/"), precision=0, duration_s=0.1)
+        assert result.rate == 100_000.0
+        assert len(result.probes) <= 3

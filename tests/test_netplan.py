@@ -2,18 +2,19 @@
 
 import ipaddress
 import re
+from dataclasses import replace
 
 import pytest
 
 import topoforge as tf
 from topoforge.errors import CapacityExceededError, OptionConflictError
 from topoforge.model import ImpairmentSpec, Rate, TimerSpec
+from topoforge.deploy import GenerationOptions, plan_deployment
 from topoforge.netplan import (
-    effective_impairments,
+    impairment_timeline,
     plan_network,
     render_impairments,
     render_timer_script,
-    timer_boundaries,
     timer_window,
 )
 
@@ -46,8 +47,12 @@ class TestAllocation:
         assert np.iface_names[("r1", "link_frontend_r1")] == "eth1"
 
     def test_host_ports(self, fig4_topology):
-        np = plan_network(fig4_topology)
-        assert np.host_ports == {"frontend": 80, "db": 10001, "payment": 10002}
+        _np, plan = plan_deployment(fig4_topology, GenerationOptions())
+        assert {c.name: c.ports for c in plan.containers if c.role == "service"} == {
+            "frontend": [(80, 80)],
+            "db": [(10001, 10001)],
+            "payment": [(10002, 10002)],
+        }
 
     def test_v6_allocation(self, fig4_topology):
         np = plan_network(fig4_topology, family="v6")
@@ -82,8 +87,9 @@ class TestAllocation:
 
     def test_all_addresses_inside_their_subnet(self, fig4_topology):
         np = plan_network(fig4_topology)
+        by_name = {s.name: s for s in np.subnets}
         for (entity, sname), addr in np.interfaces.items():
-            assert ipaddress.ip_address(addr) in np.subnet_by_name(sname).network
+            assert ipaddress.ip_address(addr) in by_name[sname].network
 
 
 class TestRoutes:
@@ -162,6 +168,11 @@ class TestCommandRendering:
         ]
 
 
+def values_at(spec: ImpairmentSpec, t: float) -> ImpairmentSpec:
+    """The timeline segment of ``spec`` in force at ``t`` seconds."""
+    return [values for start, values in impairment_timeline(spec) if start <= t][-1]
+
+
 class TestTimers:
     def test_window_semantics(self):
         assert timer_window(10.0, 30.0) == (10.0, 40.0)
@@ -171,10 +182,10 @@ class TestTimers:
             rate=Rate(100.0, "mbit"),
             timers=(TimerSpec("rate", 10.0, 30.0, Rate(1.0, "gbit")),),
         )
-        assert effective_impairments(base, 9.999).rate == Rate(100.0, "mbit")
-        assert effective_impairments(base, 10.0).rate == Rate(1.0, "gbit")
-        assert effective_impairments(base, 39.999).rate == Rate(1.0, "gbit")
-        assert effective_impairments(base, 40.0).rate == Rate(100.0, "mbit")
+        assert values_at(base, 9.999).rate == Rate(100.0, "mbit")
+        assert values_at(base, 10.0).rate == Rate(1.0, "gbit")
+        assert values_at(base, 39.999).rate == Rate(1.0, "gbit")
+        assert values_at(base, 40.0).rate == Rate(100.0, "mbit")
 
     def test_overlap_latest_start_wins(self):
         base = ImpairmentSpec(
@@ -184,11 +195,11 @@ class TestTimers:
                 TimerSpec("loss", 9.0, 10.0, 10.0),
             ),
         )
-        assert effective_impairments(base, 6.0).loss == 5.0
-        assert effective_impairments(base, 9.0).loss == 10.0
-        assert effective_impairments(base, 14.5).loss == 10.0  # first window over
-        assert effective_impairments(base, 18.9).loss == 10.0
-        assert effective_impairments(base, 19.0).loss == 1.0
+        assert values_at(base, 6.0).loss == 5.0
+        assert values_at(base, 9.0).loss == 10.0
+        assert values_at(base, 14.5).loss == 10.0  # first window over
+        assert values_at(base, 18.9).loss == 10.0
+        assert values_at(base, 19.0).loss == 1.0
 
     def test_fig4_script_text(self, fig4_topology):
         np = plan_network(fig4_topology)
@@ -205,7 +216,7 @@ class TestTimers:
 
     def test_script_replay_matches_effective_values(self):
         """Replay the rendered script on a virtual clock and compare the
-        netem parameter string in force against effective_impairments."""
+        netem parameter string in force against the timeline."""
         base = ImpairmentSpec(
             rate=Rate(50.0, "mbit"),
             loss=1.0,
@@ -215,12 +226,12 @@ class TestTimers:
                 TimerSpec("rate", 2.0, 4.0, Rate(10.0, "mbit")),
             ),
         )
-        script = render_timer_script(base.timers, base, "eth0")
+        script = render_timer_script({"eth0": base})
 
         # virtual execution: start from the boot-time netem line
         from topoforge.netplan import _netem_params
 
-        state = {0.0: _netem_params(base.replace_option("timers", ()))}
+        state = {0.0: _netem_params(replace(base, timers=()))}
         now = 0.0
         for line in script.splitlines():
             if line.startswith("sleep "):
@@ -233,9 +244,7 @@ class TestTimers:
 
         for t in [0.0, 1.9, 2.0, 3.5, 5.0, 6.0, 8.9, 9.0, 12.0, 14.9, 15.0, 18.9, 19.0, 25.0]:
             applied = [v for k, v in sorted(state.items()) if k <= t][-1]
-            expected = _netem_params(
-                effective_impairments(base, t).replace_option("timers", ())
-            )
+            expected = _netem_params(values_at(base, t))
             assert applied == expected, f"at t={t}: {applied!r} != {expected!r}"
 
     def test_boundaries(self):
@@ -243,10 +252,86 @@ class TestTimers:
             TimerSpec("loss", 5.0, 10.0, 5.0),
             TimerSpec("rate", 2.0, 4.0, Rate(1.0, "gbit")),
         )
-        assert timer_boundaries(timers) == [2.0, 5.0, 6.0, 15.0]
+        spec = ImpairmentSpec(rate=Rate(100.0, "mbit"), loss=1.0, timers=timers)
+        assert [t for t, _values in impairment_timeline(spec)] == [0.0, 2.0, 5.0, 6.0, 15.0]
+
+    def test_segments_hold_no_timers(self):
+        spec = ImpairmentSpec(rate=Rate(100.0, "mbit"))
+        assert impairment_timeline(spec) == [(0.0, spec)]
+        timed = replace(spec, timers=(TimerSpec("rate", 1.0, 2.0, Rate(1.0, "gbit")),))
+        assert impairment_timeline(timed) == [
+            (0.0, spec),
+            (1.0, ImpairmentSpec(rate=Rate(1.0, "gbit"))),
+            (3.0, spec),
+        ]
+
+    def test_equal_starts_later_declaration_wins(self):
+        base = ImpairmentSpec(
+            loss=1.0,
+            timers=(TimerSpec("loss", 2.0, 10.0, 5.0), TimerSpec("loss", 2.0, 4.0, 7.0)),
+        )
+        assert values_at(base, 1.0).loss == 1.0
+        assert values_at(base, 2.0).loss == 7.0
+        assert values_at(base, 6.0).loss == 5.0  # the later window is over
+        assert values_at(base, 12.0).loss == 1.0
 
     def test_no_timers_no_script(self):
-        assert render_timer_script((), ImpairmentSpec(rate=Rate(1, "mbit")), "eth0") == ""
+        assert render_timer_script({"eth0": ImpairmentSpec(rate=Rate(1, "mbit"))}) == ""
+
+    def test_timer_from_launch_changes_before_first_sleep(self):
+        text = (
+            "a:\n  type: service\n  port: 9000\n  endpoints:\n"
+            "    - entrypoint: /\n      psize: 1\n      connections:\n"
+            "        - path: r->b\n          url: /\n          loss: 1%\n"
+            "          timers:\n            - option: loss\n              start: 0\n"
+            "              duration: 5\n              newValue: 10%\n"
+            "r:\n  type: router\n  connections:\n    - path: b\n"
+            "b:\n  type: service\n  port: 9001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+        )
+        np = plan_network(make_topology(text))
+        assert "tc qdisc add dev eth0 root netem loss 1%" in np.setup["a"]
+        assert np.timer_scripts == {
+            "a": (
+                "#!/bin/sh\n"
+                "# scheduled impairment overrides\n"
+                "tc qdisc change dev eth0 root netem loss 10%\n"
+                "sleep 5\n"
+                "tc qdisc change dev eth0 root netem loss 1%\n"
+            )
+        }
+
+    def test_timers_on_two_interfaces_share_one_script(self):
+        text = (
+            "a:\n  type: service\n  port: 9000\n  endpoints:\n"
+            "    - entrypoint: /\n      psize: 1\n      connections:\n"
+            "        - path: r0->b\n          url: /\n          loss: 1%\n"
+            "          timers:\n            - option: loss\n              start: 2\n"
+            "              duration: 4\n              newValue: 10%\n"
+            "        - path: r1->c\n          url: /\n          delay: 5ms\n"
+            "          timers:\n            - option: delay\n              start: 1\n"
+            "              duration: 2\n              newValue: 10ms\n"
+            "r0:\n  type: router\n  connections:\n    - path: b\n"
+            "r1:\n  type: router\n  connections:\n    - path: c\n"
+            "b:\n  type: service\n  port: 9001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+            "c:\n  type: service\n  port: 9002\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+        )
+        np = plan_network(make_topology(text))
+        assert np.iface_names[("a", "link_a_r0")] == "eth0"
+        assert np.iface_names[("a", "link_a_r1")] == "eth1"
+        assert np.timer_scripts == {
+            "a": (
+                "#!/bin/sh\n"
+                "# scheduled impairment overrides\n"
+                "sleep 1\n"
+                "tc qdisc change dev eth1 root netem delay 10000us\n"
+                "sleep 1\n"
+                "tc qdisc change dev eth0 root netem loss 10%\n"
+                "sleep 1\n"
+                "tc qdisc change dev eth1 root netem delay 5000us\n"
+                "sleep 3\n"
+                "tc qdisc change dev eth0 root netem loss 1%\n"
+            )
+        }
 
 
 class TestRouteConflicts:

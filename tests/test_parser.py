@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 import topoforge as tf
 from topoforge.errors import ConfigSyntaxError, PathSyntaxError, SchemaError
+from topoforge.netplan import timer_window
 from topoforge.model import (
     Rate,
+    TimerSpec,
     parse_duration_us,
     parse_path,
     parse_percent,
@@ -146,7 +148,9 @@ class TestTimerSchema:
             self._doc("            - option: rate\n              start: 1\n              duration: 2\n              newValue: 1gbit\n")
         )
         conn = cfg.entities["a"].endpoints[0].connections[0]
-        assert conn.options.timers[0].end == 3.0
+        timer = conn.options.timers[0]
+        assert timer == TimerSpec("rate", 1.0, 2.0, Rate(1.0, "gbit"))
+        assert timer_window(timer.start, timer.duration) == (1.0, 3.0)
 
     @pytest.mark.parametrize(
         "body",
@@ -182,6 +186,17 @@ class TestPathParsing:
     def test_non_string_named_as_such(self):
         with pytest.raises(PathSyntaxError, match="path must be a string, got True"):
             parse_path(True)
+
+    def test_document_error_names_entity_and_field(self):
+        text = (
+            "a:\n  type: service\n  port: 9000\n  endpoints:\n"
+            "    - entrypoint: /\n      psize: 1\n      connections:\n"
+            "        - path: r1->\n          url: /\n"
+        )
+        with pytest.raises(PathSyntaxError) as ei:
+            tf.parse_config(text)
+        assert str(ei.value) == "entity 'a', field 'path': empty hop in path 'r1->'"
+        assert (ei.value.entity, ei.value.field) == ("a", "path")
 
 
 class TestLiterals:

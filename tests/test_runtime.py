@@ -219,6 +219,7 @@ class TestRequestHandling:
     def test_unknown_entrypoint_404(self, stack):
         with pytest.raises(urllib.error.HTTPError) as ei:
             _get(stack["front"].port, "/nope")
+        ei.value.close()  # the error holds the response and its socket
         assert ei.value.code == 404
 
     def test_downstream_failure_names_hop(self, tmp_path):

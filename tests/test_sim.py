@@ -163,6 +163,9 @@ class TestWorkloads:
             {"mode": "closed", "clients": 0},
             {"mode": "open", "rate": None},
             {"mode": "burst"},
+            {"duration_s": 0},
+            {"duration_s": -1.0},
+            {"start_s": -0.5},
         ],
     )
     def test_bad_workloads(self, kw):
