@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .capacity import capacity
 from .compose import CONFIG_DIR, TIMER_DIR, emit_compose
 from .deploy import (
     DEFAULT_COLLECTOR_IMAGE,
@@ -20,9 +21,9 @@ from .deploy import (
 )
 from .errors import OptionConflictError, TopoforgeError
 from .k8s import emit_k8s
-from .maxrate import measure_max_rate
+from .maxrate import PROBE_S, measure_max_rate
 from .parser import parse_config
-from .sim import Workload, build_sim, run
+from .sim import ModelParams, Workload, build_sim, run
 from .validation import validate
 
 COMPOSE_FILE = "compose.yml"
@@ -180,13 +181,15 @@ def cmd_simulate(args) -> int:
     topo = _load(args)
     service = args.service or next(iter(topo.services))
     if args.max_rate:
-        result = measure_max_rate(
-            topo, (service, args.entrypoint), precision=args.precision, seed=args.seed
-        )
+        target = (service, args.entrypoint)
+        result = measure_max_rate(topo, target, precision=args.precision, seed=args.seed)
+        oracle = capacity(topo, target, ModelParams(), PROBE_S)
+        bound = oracle.bound if oracle else None
         if args.json:
-            print(json.dumps({"max_rate": result.rate, "probes": result.probes}))
+            print(json.dumps({"max_rate": result.rate, "probes": result.probes, "bound": bound}))
         else:
-            print(f"max sustainable rate: {result.rate:.1f} req/s ({len(result.probes)} probes)")
+            line = f"max sustainable rate: {result.rate:.1f} req/s ({len(result.probes)} probes)"
+            print(line if bound is None else f"{line}, bound {bound:.1f} req/s")
         return 0
     workload = Workload(
         service=service,

@@ -53,8 +53,8 @@ class NetPlan:
     timer_scripts: dict[str, str] = field(default_factory=dict)
     # (entity, subnet name) -> in-container interface name
     iface_names: dict[tuple[str, str], str] = field(default_factory=dict)
-    # entity -> interface -> options shaping that interface's egress, filled
-    # by plan_routes
+    # entity -> interface -> the options on its egress, for interfaces that
+    # have any; filled by plan_routes
     egress: dict[str, dict[str, ImpairmentSpec]] = field(default_factory=dict)
     # indexes over the above, filled by allocate_networks
     # link_key pair -> link subnet name
@@ -326,7 +326,8 @@ def plan_routes(t: ValidatedTopology, np: NetPlan) -> NetPlan:
 def _egress_options(t: ValidatedTopology, np: NetPlan) -> dict[str, dict[str, ImpairmentSpec]]:
     """entity -> interface -> the options of the entity's connections out of
     that interface, merged as the link graph merges them: the first
-    declaration of each option, and of the timer list, wins."""
+    declaration of each option, and of the timer list, wins.  Interfaces
+    whose merged options are empty are left out."""
     egress = {}
     for name in t.entities:
         if name in t.services:
@@ -340,8 +341,10 @@ def _egress_options(t: ValidatedTopology, np: NetPlan) -> dict[str, dict[str, Im
                 continue  # unreferenced router connection: no subnet exists
             prev = by_iface.get(iface)
             by_iface[iface] = conn.options if prev is None else merge_declarations(prev, conn.options)[0]
-        if by_iface:
-            egress[name] = by_iface
+        # after the merge: a later declaration can fill an empty first one
+        shaped = {iface: opt for iface, opt in by_iface.items() if opt != _UNSHAPED}
+        if shaped:
+            egress[name] = shaped
     return egress
 
 

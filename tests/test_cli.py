@@ -8,6 +8,8 @@ import yaml
 
 from topoforge import cli
 
+from conftest import loss_chain_config
+
 DATA = Path(__file__).parent / "data"
 FIG4 = str(DATA / "fig4.yml")
 
@@ -85,6 +87,29 @@ def test_simulate_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["completed"] > 0
     assert report["failed"] == 0
+
+
+def test_simulate_max_rate_prints_the_bound(monkeypatch, capsys):
+    monkeypatch.setattr("topoforge.maxrate._probe", lambda *args: 48_822.0)
+    assert cli.main(["simulate", FIG4, "--max-rate"]) == 0
+    assert capsys.readouterr().out == (
+        "max sustainable rate: 48822.0 req/s (1 probes), bound 48828.1 req/s\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "lossy, probes, bound",
+    [(False, [[4, 1000.0], [8, 1000.0]], 48_828.125), (True, [[1, 1000.0], [2, 1000.0]], None)],
+)
+def test_simulate_max_rate_json_bound(lossy, probes, bound, tmp_path, monkeypatch, capsys):
+    config = FIG4
+    if lossy:
+        config = tmp_path / "lossy.yml"
+        config.write_text(loss_chain_config(1))
+    monkeypatch.setattr("topoforge.maxrate._probe", lambda *args: 1000.0)
+    assert cli.main(["simulate", str(config), "--max-rate", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"max_rate": 1000.0, "probes": probes, "bound": bound}
 
 
 @pytest.mark.parametrize(

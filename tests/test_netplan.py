@@ -375,3 +375,19 @@ class TestOneNetemPerInterface:
             "sleep 10\n"
             "tc qdisc change dev eth0 root netem rate 100mbit\n"
         )
+
+    def test_only_interfaces_with_options_have_egress(self):
+        # front also calls pay directly, unshaped, over the bridge
+        text = shared_first_hop_config().replace(
+            "r1:\n",
+            "        - path: pay\n          url: /\n"
+            "pay:\n  type: service\n  port: 9003\n  endpoints:\n"
+            "    - entrypoint: /\n      psize: 128\n"
+            "r1:\n",
+            1,
+        )
+        np = plan_network(make_topology(text))
+        toward_r1 = np.iface_names[("front", np.subnet_between("front", "r1"))]
+        assert np.subnet_between("front", "pay") == "bridge"
+        assert {name: list(by_iface) for name, by_iface in np.egress.items()} == {"front": [toward_r1]}
+        assert np.egress["front"][toward_r1].rate == Rate(100, "mbit")
