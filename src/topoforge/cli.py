@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .capacity import capacity
 from .compose import CONFIG_DIR, TIMER_DIR, emit_compose
 from .deploy import (
     DEFAULT_COLLECTOR_IMAGE,
@@ -21,9 +20,9 @@ from .deploy import (
 )
 from .errors import OptionConflictError, TopoforgeError
 from .k8s import emit_k8s
-from .maxrate import PROBE_S, measure_max_rate
+from .maxrate import measure_max_rate
 from .parser import parse_config
-from .sim import ModelParams, Workload, build_sim, run
+from .sim import Workload, build_sim, run
 from .validation import validate
 
 COMPOSE_FILE = "compose.yml"
@@ -183,13 +182,11 @@ def cmd_simulate(args) -> int:
     if args.max_rate:
         target = (service, args.entrypoint)
         result = measure_max_rate(topo, target, precision=args.precision, seed=args.seed)
-        oracle = capacity(topo, target, ModelParams(), PROBE_S)
-        bound = oracle.bound if oracle else None
         if args.json:
-            print(json.dumps({"max_rate": result.rate, "probes": result.probes, "bound": bound}))
+            print(json.dumps({"max_rate": result.rate, "probes": result.probes, "bound": result.bound}))
         else:
             line = f"max sustainable rate: {result.rate:.1f} req/s ({len(result.probes)} probes)"
-            print(line if bound is None else f"{line}, bound {bound:.1f} req/s")
+            print(line if result.bound is None else f"{line}, bound {result.bound:.1f} req/s")
         return 0
     workload = Workload(
         service=service,
@@ -208,6 +205,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "generate": cmd_generate,
+    "validate": cmd_validate,
+    "inspect": cmd_inspect,
+    "simulate": cmd_simulate,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
@@ -215,25 +220,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "inspect":
-            return cmd_inspect(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return 2
-    except OptionConflictError as exc:
+        return COMMANDS[args.command](args)
+    except (OptionConflictError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TopoforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TopoforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

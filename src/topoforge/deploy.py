@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import tls
 from .errors import OptionConflictError
 from .netplan import BRIDGE_NET, NetPlan, endpoint_addresses, plan_network
 from .validation import ValidatedTopology
@@ -22,9 +21,10 @@ COLLECTOR_NAME = "jaeger"
 COLLECTOR_UI_PORT = 16686
 COLLECTOR_INGEST_PORT = 4318
 
-CONFIG_MOUNT = "/etc/topoforge/config.json"
-TIMER_MOUNT = "/etc/topoforge/timers.sh"
-CERTS_MOUNT_DIR = "/etc/topoforge/certs"
+MOUNT_DIR = "/etc/topoforge"  # where both targets mount a container's files
+CONFIG_MOUNT = f"{MOUNT_DIR}/config.json"
+TIMER_MOUNT = f"{MOUNT_DIR}/timers.sh"
+CERTS_MOUNT_DIR = f"{MOUNT_DIR}/certs"
 
 SERVICE_COMMAND = f"topoforge-service --config {CONFIG_MOUNT}"
 ROUTER_COMMAND = "sleep infinity"
@@ -168,6 +168,8 @@ def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> De
     materials: dict[str, bytes] = {}
     authority = None
     if opts.scheme == "https":
+        from . import tls  # cryptography loads only for the HTTPS target
+
         authority = tls.generate_authority(opts.seed)
         materials["certs/ca.crt"] = authority.cert_pem
 

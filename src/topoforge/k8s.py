@@ -11,10 +11,21 @@ impairments still apply to container egress interfaces.
 
 from __future__ import annotations
 
-from . import yamlio
-from .deploy import ContainerSpec, DeploymentPlan, main_command, runtime_config_json, setup_script
+import re
 
-CONFIG_MOUNT_DIR = "/etc/topoforge"
+from . import yamlio
+from .deploy import (
+    MOUNT_DIR,
+    ContainerSpec,
+    DeploymentPlan,
+    main_command,
+    runtime_config_json,
+    setup_script,
+)
+from .errors import ValidationError
+
+# a Service name is an RFC 1035 label (kubernetes.io, "Object Names and IDs")
+SERVICE_NAME_RE = re.compile(r"[a-z]([-a-z0-9]{0,61}[a-z0-9])?")
 
 
 def _configmap(c: ContainerSpec) -> dict:
@@ -51,7 +62,7 @@ def _volume_sources(c: ContainerSpec) -> list[dict]:
     sources: list[dict] = [{"configMap": {"name": f"{c.name}-config"}}]
     if c.tls_files:
         items = [
-            {"key": _secret_key(key), "path": mount.removeprefix(f"{CONFIG_MOUNT_DIR}/")}
+            {"key": _secret_key(key), "path": mount.removeprefix(f"{MOUNT_DIR}/")}
             for mount, key in sorted(c.tls_files.items())
         ]
         sources.append({"secret": {"name": f"{c.name}-tls", "items": items}})
@@ -63,7 +74,7 @@ def _deployment(c: ContainerSpec) -> dict:
     pod_spec: dict = {"containers": [container]}
     if c.role != "collector":
         container["command"] = ["sh", "-c", f"exec {main_command(c)}"]
-        container["volumeMounts"] = [{"name": "config", "mountPath": CONFIG_MOUNT_DIR}]
+        container["volumeMounts"] = [{"name": "config", "mountPath": MOUNT_DIR}]
         pod_spec["volumes"] = [{"name": "config", "projected": {"sources": _volume_sources(c)}}]
     if c.ports:
         container["ports"] = [{"containerPort": cont} for _host, cont in c.ports]
@@ -93,27 +104,29 @@ def _deployment(c: ContainerSpec) -> dict:
 
 
 def _service(c: ContainerSpec) -> dict:
-    spec_ports = []
-    for host, cont in c.ports:
-        spec_ports.append({"name": f"port-{cont}", "port": cont, "targetPort": cont})
-    if not spec_ports:
-        # routers expose nothing; a headless service still gives a stable name
-        return {
-            "apiVersion": "v1",
-            "kind": "Service",
-            "metadata": {"name": c.name},
-            "spec": {"clusterIP": "None", "selector": {"app": c.name}},
-        }
-    return {
-        "apiVersion": "v1",
-        "kind": "Service",
-        "metadata": {"name": c.name},
-        "spec": {"selector": {"app": c.name}, "ports": spec_ports},
-    }
+    # routers expose nothing; a headless service still gives a stable name
+    spec: dict = {} if c.ports else {"clusterIP": "None"}
+    spec["selector"] = {"app": c.name}
+    if c.ports:
+        spec["ports"] = [
+            {"name": f"port-{cont}", "port": cont, "targetPort": cont} for _host, cont in c.ports
+        ]
+    return {"apiVersion": "v1", "kind": "Service", "metadata": {"name": c.name}, "spec": spec}
 
 
 def emit_k8s(plan: DeploymentPlan) -> list[tuple[str, str]]:
-    """(file name, manifest text) pairs, one file per manifest."""
+    """(file name, manifest text) pairs, one file per manifest.
+
+    Raises ValidationError for a container whose name is not a valid
+    Kubernetes Service name.
+    """
+    for c in plan.containers:
+        if not SERVICE_NAME_RE.fullmatch(c.name):
+            raise ValidationError(
+                "not a valid Kubernetes Service name: use at most 63 lowercase letters, "
+                "digits or '-', starting with a letter and ending with a letter or digit",
+                c.name,
+            )
     out = []
     for c in plan.containers:
         out.append((f"{c.name}-configmap.yaml", yamlio.dump(_configmap(c))))

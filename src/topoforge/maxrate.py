@@ -40,6 +40,7 @@ PROBE_S = 0.5  # virtual seconds each probe runs
 class MaxRateResult:
     rate: float  # best sustained completion rate, req/s
     probes: list[tuple[int, float]]  # (client population, achieved req/s)
+    bound: float | None  # the analytic bound 1 / D_max, or None without an oracle
 
 
 def _probe(
@@ -99,4 +100,4 @@ def measure_max_rate(
         if stop:
             break
         clients *= 2
-    return MaxRateResult(rate=best, probes=probes)
+    return MaxRateResult(rate=best, probes=probes, bound=None if oracle is None else bound)

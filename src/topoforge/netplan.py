@@ -19,7 +19,7 @@ from .model import (
     format_us,
     merge_declarations,
 )
-from .validation import ValidatedTopology, check_plan_capacity, link_key
+from .validation import ValidatedTopology, check_plan_capacity, link_key, link_subnet_name
 
 DEFAULT_BASE_V4 = "10.0.0.0/8"
 DEFAULT_BASE_V6 = "fd00::/16"
@@ -73,11 +73,6 @@ class NetPlan:
     def attachments(self, entity: str) -> list[tuple[str, str]]:
         """(subnet name, address) pairs for one entity, in subnet order."""
         return list(self._attachments.get(entity, ()))
-
-
-def link_subnet_name(a: str, b: str) -> str:
-    a, b = link_key(a, b)
-    return f"link_{a}_{b}"
 
 
 def endpoint_addresses(np: NetPlan, hops: tuple[str, ...]) -> tuple[str, str]:

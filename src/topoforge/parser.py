@@ -92,6 +92,14 @@ def _require_mapping(value, entity, what):
     return value
 
 
+def _optional_list(body: dict, key: str, entity: str) -> list:
+    """An optional list field: absent or null reads as empty."""
+    value = body.get(key)
+    if value is not None and not isinstance(value, list):
+        raise SchemaError(f"{key} must be a list", entity, key)
+    return value or []
+
+
 def _check_keys(body: dict, allowed: set, entity: str, what: str):
     unknown = set(body) - allowed
     if unknown:
@@ -146,22 +154,14 @@ def _parse_endpoint(entity: str, body) -> EndpointSpec:
     psize = parse_strict_int(body["psize"], entity=entity, fieldname="psize")
     if psize < 1:
         raise SchemaError(f"psize must be >= 1, got {psize}", entity, "psize")
-    conns = body.get("connections", [])
-    if conns is None:
-        conns = []
-    if not isinstance(conns, list):
-        raise SchemaError("connections must be a list", entity, "connections")
+    conns = _optional_list(body, "connections", entity)
     connections = tuple(_parse_connection(entity, c, service_side=True) for c in conns)
     return EndpointSpec(entrypoint=entrypoint, psize=psize, connections=connections)
 
 
 def _parse_router(name: str, body: dict) -> RouterSpec:
     _check_keys(body, _ROUTER_KEYS, name, "router")
-    conns = body.get("connections", [])
-    if conns is None:
-        conns = []
-    if not isinstance(conns, list):
-        raise SchemaError("connections must be a list", name, "connections")
+    conns = _optional_list(body, "connections", name)
     connections = tuple(_parse_connection(name, c, service_side=False) for c in conns)
     return RouterSpec(name=name, connections=connections)
 
@@ -194,12 +194,7 @@ def _parse_options(entity: str, body: dict) -> ImpairmentSpec:
         for key, (parse, _fmt) in OPTION_KINDS.items()
         if key in body
     }
-    timers = body.get("timers", [])
-    if timers is None:
-        timers = []
-    if not isinstance(timers, list):
-        raise SchemaError("timers must be a list", entity, "timers")
-    kwargs["timers"] = tuple(_parse_timer(entity, t) for t in timers)
+    kwargs["timers"] = tuple(_parse_timer(entity, t) for t in _optional_list(body, "timers", entity))
     return ImpairmentSpec(**kwargs)
 
 

@@ -56,7 +56,6 @@ class RuntimeConfig:
     scheme: str = "http"
     family: str = "v4"
     host: str = ""
-    tracing_endpoint: str | None = None
     span_sink_file: str | None = None
     payload_seed: int | None = None
     downstream_timeout_s: float = 5.0
@@ -227,9 +226,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.microservice._track_inbound(self.connection, False)
         super().finish()
 
-    def log_message(self, *args):  # quiet by default
-        if self.server.verbose:
-            super().log_message(*args)
+    def log_message(self, *args):  # quiet
+        pass
 
     def do_GET(self):
         self._handle()
@@ -267,7 +265,6 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _ServerV4(ThreadingHTTPServer):
     daemon_threads = True
-    verbose = False
 
     def handle_error(self, request, client_address):
         # a client that fails its TLS handshake or drops its connection is
@@ -291,8 +288,10 @@ class Microservice:
         )
         self._rng_lock = threading.Lock()
         self.exporter = exporter
-        if exporter is None and (config.tracing_endpoint or config.span_sink_file):
-            self.exporter = SpanExporter(config.tracing_endpoint, config.span_sink_file)
+        # deploy hands a service its collector in the environment
+        collector = os.environ.get("TRACE_COLLECTOR_ENDPOINT")
+        if exporter is None and (collector or config.span_sink_file):
+            self.exporter = SpanExporter(collector, config.span_sink_file)
         server_cls = _ServerV6 if config.family == "v6" else _ServerV4
         self._server = server_cls((config.host, config.port), _Handler)
         self._server.microservice = self
@@ -420,15 +419,13 @@ class Microservice:
                 return self._exchange(key, conn, ds.url, headers)
             except (ConnectionResetError, BrokenPipeError):
                 pass  # the peer closed the idle connection: retry once, fresh
+        timeout = self.config.downstream_timeout_s
         if ds.scheme == "https":
             conn = http.client.HTTPSConnection(
-                ds.address, ds.port, timeout=self.config.downstream_timeout_s,
-                context=self._client_tls,
+                ds.address, ds.port, timeout=timeout, context=self._client_tls
             )
         else:
-            conn = http.client.HTTPConnection(
-                ds.address, ds.port, timeout=self.config.downstream_timeout_s
-            )
+            conn = http.client.HTTPConnection(ds.address, ds.port, timeout=timeout)
         try:
             return self._exchange(key, conn, ds.url, headers)
         except (ConnectionResetError, BrokenPipeError):
@@ -474,13 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="topoforge-service", description=__doc__)
     ap.add_argument("--config", required=True, help="runtime config JSON path")
     args = ap.parse_args(argv)
-    config = RuntimeConfig.load(args.config)
-    endpoint = os.environ.get("TRACE_COLLECTOR_ENDPOINT")
-    if endpoint and not config.tracing_endpoint:
-        from dataclasses import replace
-
-        config = replace(config, tracing_endpoint=endpoint)
-    service = Microservice(config)
+    service = Microservice(RuntimeConfig.load(args.config))
     try:
         service.serve_forever()
     except KeyboardInterrupt:

@@ -497,8 +497,7 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
     """Execute a workload against a freshly built world."""
     if world._seq:
         raise ValueError("run needs a freshly built world; build another with build_sim")
-    svc = world.topology.services.get(workload.service)
-    if svc is None or all(ep.entrypoint != workload.entrypoint for ep in svc.endpoints):
+    if workload.entrypoint not in world.topology.paths_by_service.get(workload.service, ()):
         raise WorkloadUnreachableError(
             f"no service '{workload.service}' with entrypoint '{workload.entrypoint}'"
         )

@@ -91,6 +91,11 @@ def link_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def link_subnet_name(a: str, b: str) -> str:
+    """Subnet name of a link; validate rejects two links with one name."""
+    return "link_{}_{}".format(*link_key(a, b))
+
+
 @dataclass(frozen=True)
 class ResolvedPath:
     """One service connection resolved to its full hop sequence."""
@@ -156,10 +161,9 @@ def _check_impairments(entity: str, opt: ImpairmentSpec):
         value = getattr(opt, key)
         if value is not None and not (0 <= value <= 100):
             raise OptionRangeError(f"{key} {value} outside [0, 100]", entity, key)
-    if (opt.jitter or 0) > 0 and (opt.delay or 0) <= 0:
-        raise OptionRangeError("jitter > 0 requires delay > 0", entity, "jitter")
-    if (opt.reorder or 0) > 0 and (opt.delay or 0) <= 0:
-        raise OptionRangeError("reorder > 0 requires delay > 0", entity, "reorder")
+    for key in ("jitter", "reorder"):
+        if (getattr(opt, key) or 0) > 0 and (opt.delay or 0) <= 0:
+            raise OptionRangeError(f"{key} > 0 requires delay > 0", entity, key)
     for t in opt.timers:
         _check_timer(entity, opt, t)
 
@@ -189,19 +193,12 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
     for sname, svc in services.items():
         for ep in svc.endpoints:
             for ci, conn in enumerate(ep.connections):
-                path_table.append(
-                    _resolve_service_path(cfg, sname, ep.entrypoint, ci, conn)
-                )
-
-    # router connection paths must at least name known entities
+                _check_connection(cfg, sname, conn)
+                hops = (sname,) + conn.path.hops
+                path_table.append(ResolvedPath(sname, ep.entrypoint, ci, hops, conn.url, conn.options))
     for rname, rtr in routers.items():
         for conn in rtr.connections:
-            if len(set(conn.path.hops)) != len(conn.path.hops):
-                raise ValidationError("repeated hop in path", rname, "path")
-            for hop in conn.path.hops:
-                if hop not in cfg.entities:
-                    raise UnknownEntityError(f"unknown entity '{hop}' in path", rname, "path")
-            _check_impairments(rname, conn.options)
+            _check_connection(cfg, rname, conn)
 
     # router linkage rule: every router on a resolved path must declare a
     # connection whose first hop is the path's next hop
@@ -251,6 +248,15 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
     direct_ends = {n for pair in direct for n in pair}
     routed_ends = {n for pair in routed for n in pair}
     bridge_members = [n for n in cfg.entities if n in direct_ends or n not in routed_ends]
+    routed_pairs = sorted(routed)
+    named: dict[str, tuple[str, str]] = {}
+    for pair in routed_pairs:
+        first = named.setdefault(link_subnet_name(*pair), pair)
+        if first != pair:
+            raise ValidationError(
+                f"links '{'<->'.join(first)}' and '{'<->'.join(pair)}' would share the "
+                f"subnet name '{link_subnet_name(*pair)}'"
+            )
 
     check_plan_capacity(family, len(routed), len(bridge_members), len(services))
     return ValidatedTopology(
@@ -261,7 +267,7 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
         path_table=path_table,
         entities=dict(cfg.entities),
         direct_pairs=sorted(direct),
-        routed_pairs=sorted(routed),
+        routed_pairs=routed_pairs,
         bridge_members=bridge_members,
         referenced_routers=referenced_routers,
         paths_by_service=paths_by_service,
@@ -288,37 +294,32 @@ def _check_ports(services: dict[str, ServiceSpec], warnings: list[str]):
         seen[svc.port] = name
 
 
-def _resolve_service_path(cfg, sname, entrypoint, ci, conn: ConnectionSpec) -> ResolvedPath:
+def _check_connection(cfg: TopologyConfig, entity: str, conn: ConnectionSpec):
+    """Every check of one declared connection, in raise order.  A service's
+    path also must not name the service, and must cross routers to a service."""
     hops = conn.path.hops
-    if len(set(hops)) != len(hops) or sname in hops:
-        raise ValidationError("repeated hop in path", sname, "path")
+    service = isinstance(cfg.entities[entity], ServiceSpec)
+    if len(set(hops)) != len(hops) or (service and entity in hops):
+        raise ValidationError("repeated hop in path", entity, "path")
     for hop in hops:
         if hop not in cfg.entities:
-            raise UnknownEntityError(f"unknown entity '{hop}' in path", sname, "path")
-    for hop in hops[:-1]:
-        if not isinstance(cfg.entities[hop], RouterSpec):
-            raise NonRouterIntermediateHopError(
-                f"intermediate hop '{hop}' is not a router", sname, "path"
+            raise UnknownEntityError(f"unknown entity '{hop}' in path", entity, "path")
+    if service:
+        for hop in hops[:-1]:
+            if not isinstance(cfg.entities[hop], RouterSpec):
+                raise NonRouterIntermediateHopError(
+                    f"intermediate hop '{hop}' is not a router", entity, "path"
+                )
+        terminal = cfg.entities[hops[-1]]
+        if not isinstance(terminal, ServiceSpec):
+            raise TerminalNotServiceError(
+                f"terminal hop '{hops[-1]}' is not a service", entity, "path"
             )
-    terminal = hops[-1]
-    target = cfg.entities[terminal]
-    if not isinstance(target, ServiceSpec):
-        raise TerminalNotServiceError(
-            f"terminal hop '{terminal}' is not a service", sname, "path"
-        )
-    if not any(ep.entrypoint == conn.url for ep in target.endpoints):
-        raise UnknownEntrypointError(
-            f"target service '{terminal}' has no entrypoint '{conn.url}'", sname, "url"
-        )
-    _check_impairments(sname, conn.options)
-    return ResolvedPath(
-        service=sname,
-        entrypoint=entrypoint,
-        conn_index=ci,
-        hops=(sname,) + hops,
-        url=conn.url,
-        options=conn.options,
-    )
+        if not any(ep.entrypoint == conn.url for ep in terminal.endpoints):
+            raise UnknownEntrypointError(
+                f"target service '{hops[-1]}' has no entrypoint '{conn.url}'", entity, "url"
+            )
+    _check_impairments(entity, conn.options)
 
 
 def _router_connection_for(rtr: RouterSpec, next_hop: str) -> int | None:

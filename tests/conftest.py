@@ -122,6 +122,19 @@ def shared_first_hop_config() -> str:
     )
 
 
+def colliding_links_config() -> str:
+    """Two links whose subnet names join to one string: a<->b_c and a_b<->c
+    are both link_a_b_c."""
+    leaf = "  type: service\n  port: {}\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+    return (
+        "a:\n" + leaf.format(8000) + "      connections:\n        - path: b_c->x\n          url: /\n"
+        "a_b:\n" + leaf.format(8001) + "      connections:\n        - path: c->y\n          url: /\n"
+        "x:\n" + leaf.format(8002) + "y:\n" + leaf.format(8003)
+        + "b_c:\n  type: router\n  connections:\n    - path: x\n"
+        "c:\n  type: router\n  connections:\n    - path: y\n"
+    )
+
+
 def random_topology_text(rng: random.Random) -> str:
     """A random valid topology: services call later services through routers.
 

@@ -8,7 +8,7 @@ import yaml
 
 from topoforge import cli
 
-from conftest import loss_chain_config
+from conftest import colliding_links_config, loss_chain_config
 
 DATA = Path(__file__).parent / "data"
 FIG4 = str(DATA / "fig4.yml")
@@ -156,6 +156,41 @@ def test_base_of_the_other_version_conflicts(tmp_path, capsys):
     argv = ["generate", FIG4, "--ipv4", "--base-v4", "fd00::/16", "--output", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert "error: base network fd00::/16 is not an IPv4 network" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "generate"])
+def test_colliding_link_subnet_names_exit_1(command, tmp_path, capsys):
+    config = tmp_path / "collide.yml"
+    config.write_text(colliding_links_config())
+    out = tmp_path / "out"
+    argv = [command, str(config)] + (["--output", str(out)] if command == "generate" else [])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: links 'a<->b_c' and 'a_b<->c' would share the subnet name 'link_a_b_c'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["b_c", "S1"])
+def test_k8s_rejects_names_kubernetes_refuses(name, tmp_path, capsys):
+    config = tmp_path / "topo.yml"
+    config.write_text(
+        f"{name}:\n  type: service\n  port: 8000\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["generate", str(config), "--target", "k8s", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: entity '{name}': not a valid Kubernetes Service name")
+    assert not out.exists()
+    # compose keeps accepting the name
+    assert cli.main(["generate", str(config), "--output", str(out)]) == 0
+
+
+def test_k8s_accepts_shop_demo(tmp_path):
+    out = tmp_path / "out"
+    shop = Path(__file__).parent.parent / "topologies" / "shop_demo.yml"
+    assert cli.main(["generate", str(shop), "--target", "k8s", "--output", str(out)]) == 0
+    assert (out / "manifests" / "frontendproxy-service.yaml").is_file()
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])

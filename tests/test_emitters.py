@@ -7,7 +7,7 @@ import yaml
 from cryptography import x509
 
 import topoforge as tf
-from topoforge import tls
+from topoforge import k8s, tls
 from topoforge.deploy import (
     COLLECTOR_NAME,
     GenerationOptions,
@@ -139,6 +139,17 @@ class TestKubernetes:
         _np, plan = _plan(fig4_topology, target="k8s")
         svc = yaml.safe_load(dict(tf.emit_k8s(plan))["r1-service.yaml"])
         assert svc["spec"]["clusterIP"] == "None"
+
+    @pytest.mark.parametrize(
+        "name, valid",
+        [
+            ("a", True), ("s1", True), ("r-1", True), ("a" * 63, True),
+            ("b_c", False), ("S1", False), ("1a", False), ("-a", False), ("a-", False),
+            ("a" * 64, False),
+        ],
+    )
+    def test_service_name_rule(self, name, valid):
+        assert bool(k8s.SERVICE_NAME_RE.fullmatch(name)) is valid
 
     def test_service_ports(self, fig4_topology):
         _np, plan = _plan(fig4_topology, target="k8s")

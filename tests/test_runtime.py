@@ -690,6 +690,21 @@ class TestSpanExporter:
         assert not ex._thread.is_alive()
         assert ex.dropped == 3
 
+    def test_collector_endpoint_from_the_environment(self, monkeypatch):
+        endpoint = "http://127.0.0.1:4318/v1/traces"
+        monkeypatch.setenv("TRACE_COLLECTOR_ENDPOINT", endpoint)
+        svc = _service("a", [EndpointRuntime("/", 1)])
+        try:
+            assert svc.exporter is not None and svc.exporter.endpoint == endpoint
+        finally:
+            svc.stop()
+        monkeypatch.delenv("TRACE_COLLECTOR_ENDPOINT")
+        svc = _service("a", [EndpointRuntime("/", 1)])
+        try:
+            assert svc.exporter is None  # neither a collector nor a sink
+        finally:
+            svc.stop()
+
     def test_span_end_before_start_rejected(self):
         with pytest.raises(ValueError):
             SpanRecord("a" * 32, "b" * 16, None, "bad", 10, 5)

@@ -11,6 +11,7 @@ from topoforge.errors import (
     MissingRouterLinkageError,
     NonRouterIntermediateHopError,
     OptionRangeError,
+    SchemaError,
     TerminalNotServiceError,
     TimerTargetMissingError,
     UnknownEntityError,
@@ -25,7 +26,7 @@ from topoforge.validation import (
     check_capacity,
 )
 
-from conftest import depth_config, make_topology, shared_first_hop_config
+from conftest import colliding_links_config, depth_config, make_topology, shared_first_hop_config
 
 _LEAF = "b:\n  type: service\n  port: 8001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
 
@@ -318,3 +319,107 @@ class TestCapacityLimits:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             check_capacity("v5", 1, 1, 1)
+
+
+_ROUTER_R = "r:\n  type: router\n  connections:\n"
+_SVC_C = "c:\n  type: service\n  port: 8002\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+
+
+def _case(id, text, error, message):
+    return pytest.param(text, error, message, id=id)
+
+
+class TestSharedRules:
+    """The exact error of each rule that service and router connections share."""
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            _case(
+                "service-repeated-hop",
+                _svc_a("        - path: b->b\n          url: /\n") + _LEAF,
+                ValidationError, "entity 'a', field 'path': repeated hop in path",
+            ),
+            _case(
+                "service-unknown-entity",
+                _svc_a("        - path: ghost\n          url: /\n") + _LEAF,
+                UnknownEntityError, "entity 'a', field 'path': unknown entity 'ghost' in path",
+            ),
+            _case(
+                "router-repeated-hop",
+                _LEAF + _ROUTER_R + "    - path: b->b\n",
+                ValidationError, "entity 'r', field 'path': repeated hop in path",
+            ),
+            _case(
+                "router-unknown-entity",
+                _LEAF + _ROUTER_R + "    - path: ghost\n",
+                UnknownEntityError, "entity 'r', field 'path': unknown entity 'ghost' in path",
+            ),
+            _case(
+                "router-options",
+                _LEAF + _ROUTER_R + "    - path: b\n      reorder: 5%\n",
+                OptionRangeError, "entity 'r', field 'reorder': reorder > 0 requires delay > 0",
+            ),
+            _case(
+                # the path's own checks come before its options'
+                "service-path-before-options",
+                _svc_a("        - path: b->c\n          url: /\n          jitter: 1ms\n")
+                + _LEAF + _SVC_C,
+                NonRouterIntermediateHopError,
+                "entity 'a', field 'path': intermediate hop 'b' is not a router",
+            ),
+            _case(
+                "service-connections-mapping",
+                _svc_a("        path: b\n        url: /\n") + _LEAF,
+                SchemaError, "entity 'a', field 'connections': connections must be a list",
+            ),
+            _case(
+                "router-connections-mapping",
+                _LEAF + _ROUTER_R + "    path: b\n",
+                SchemaError, "entity 'r', field 'connections': connections must be a list",
+            ),
+            _case(
+                "timers-mapping",
+                _svc_a(
+                    "        - path: b\n          url: /\n          rate: 1mbit\n"
+                    "          timers:\n            option: rate\n"
+                ) + _LEAF,
+                SchemaError, "entity 'a', field 'timers': timers must be a list",
+            ),
+            _case(
+                "jitter-without-delay",
+                _svc_a("        - path: b\n          url: /\n          jitter: 1ms\n") + _LEAF,
+                OptionRangeError, "entity 'a', field 'jitter': jitter > 0 requires delay > 0",
+            ),
+            _case(
+                "reorder-without-delay",
+                _svc_a("        - path: b\n          url: /\n          reorder: 5%\n") + _LEAF,
+                OptionRangeError, "entity 'a', field 'reorder': reorder > 0 requires delay > 0",
+            ),
+        ],
+    )
+    def test_exact_error(self, text, error, message):
+        with pytest.raises(error) as ei:
+            make_topology(text)
+        assert type(ei.value) is error
+        assert str(ei.value) == message
+
+    @pytest.mark.parametrize("value", ["", "null"])
+    def test_absent_or_null_list_reads_as_empty(self, value):
+        t = make_topology(
+            f"a:\n  type: service\n  port: 8000\n  endpoints:\n"
+            f"    - entrypoint: /\n      psize: 1\n      connections: {value}\n"
+            f"r:\n  type: router\n  connections: {value}\n"
+        )
+        assert t.path_table == [] and t.routers["r"].connections == ()
+
+
+def test_colliding_link_subnet_names_rejected():
+    with pytest.raises(ValidationError) as ei:
+        make_topology(colliding_links_config())
+    assert type(ei.value) is ValidationError
+    assert str(ei.value) == (
+        "links 'a<->b_c' and 'a_b<->c' would share the subnet name 'link_a_b_c'"
+    )
+    # the same shape with names that cannot collide is fine
+    make_topology(colliding_links_config().replace("a_b", "ab").replace("b_c", "bc"))
