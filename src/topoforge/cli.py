@@ -9,14 +9,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .compose import CONFIG_DIR, TIMER_DIR, emit_compose
+from .compose import emit_compose
 from .deploy import (
     DEFAULT_COLLECTOR_IMAGE,
     DEFAULT_ROUTER_IMAGE,
     DEFAULT_SERVICE_IMAGE,
     GenerationOptions,
     plan_deployment,
-    runtime_config_json,
 )
 from .errors import OptionConflictError, TopoforgeError
 from .k8s import emit_k8s
@@ -24,9 +23,6 @@ from .maxrate import measure_max_rate
 from .parser import parse_config
 from .sim import Workload, build_sim, run
 from .validation import validate
-
-COMPOSE_FILE = "compose.yml"
-MANIFEST_DIR = "manifests"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,18 +107,8 @@ def _write(path: Path, data):
 def cmd_generate(args) -> int:
     opts = _options(args)
     topo = _load(args)
-    np, plan = plan_deployment(topo, opts)
-    if opts.target == "k8s":
-        # the manifests carry the configs, timer scripts and TLS material
-        files = [(f"{MANIFEST_DIR}/{name}", text) for name, text in emit_k8s(plan)]
-    else:
-        files = [(COMPOSE_FILE, emit_compose(plan))]
-        for c in plan.containers:
-            if c.role == "service":
-                files.append((f"{CONFIG_DIR}/{c.name}.json", runtime_config_json(c)))
-            if c.timer_script:
-                files.append((f"{TIMER_DIR}/{c.name}.sh", c.timer_script))
-        files.extend(sorted(plan.materials.items()))
+    _np, plan = plan_deployment(topo, opts)
+    files = emit_k8s(plan) if opts.target == "k8s" else emit_compose(plan)
     out = Path(args.output)
     # one mkdir per output directory, not one per file
     for directory in sorted({rel.rpartition("/")[0] for rel, _ in files}):

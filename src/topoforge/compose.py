@@ -9,26 +9,23 @@ from .deploy import (
     ContainerSpec,
     DeploymentPlan,
     main_command,
+    runtime_config_json,
     setup_script,
 )
 
+COMPOSE_FILE = "compose.yml"
 CONFIG_DIR = "configs"
 TIMER_DIR = "timers"
 
 
-def _service_entry(c: ContainerSpec, family: str) -> dict:
+def _service_entry(c: ContainerSpec, family: str, own_files: list) -> dict:
     entry: dict = {"image": c.image, "container_name": c.name}
     if c.cap_net_admin:
         entry["cap_add"] = ["NET_ADMIN"]
     if c.role != "collector":
         entry["command"] = ["sh", "-c", f"{setup_script(c)}\nexec {main_command(c)}"]
-    volumes = []
-    if c.role == "service":
-        volumes.append(f"./{CONFIG_DIR}/{c.name}.json:{CONFIG_MOUNT}:ro")
-    if c.timer_script:
-        volumes.append(f"./{TIMER_DIR}/{c.name}.sh:{TIMER_MOUNT}:ro")
-    for mount, key in sorted(c.tls_files.items()):
-        volumes.append(f"./{key}:{mount}:ro")
+    volumes = [f"./{rel}:{mount}:ro" for rel, mount, _ in own_files]
+    volumes += [f"./{key}:{mount}:ro" for mount, key in sorted(c.tls_files.items())]
     if volumes:
         entry["volumes"] = volumes
     if c.environment:
@@ -41,19 +38,25 @@ def _service_entry(c: ContainerSpec, family: str) -> dict:
     return entry
 
 
-def emit_compose(plan: DeploymentPlan) -> str:
-    """Render the compose document; output is deterministic, key order stable."""
+def emit_compose(plan: DeploymentPlan) -> list[tuple[str, str | bytes]]:
+    """(relative path, contents) of every file of the compose target: the
+    compose document, then each container's own files, then the TLS
+    materials in path order.  Output is deterministic, key order stable."""
     family = plan.options.family
-    doc = {
-        "services": {
-            c.name: _service_entry(c, family) for c in plan.containers
-        },
-        "networks": {},
-    }
+    doc: dict = {"services": {}, "networks": {}}
+    files = []
+    for c in plan.containers:
+        own = []  # (relative path, mount path, contents) of each file only c mounts
+        if c.role == "service":
+            own.append((f"{CONFIG_DIR}/{c.name}.json", CONFIG_MOUNT, runtime_config_json(c)))
+        if c.timer_script:
+            own.append((f"{TIMER_DIR}/{c.name}.sh", TIMER_MOUNT, c.timer_script))
+        doc["services"][c.name] = _service_entry(c, family, own)
+        files += [(rel, contents) for rel, _mount, contents in own]
     for subnet in plan.networks:
         net: dict = {"driver": "bridge"}
         if family == "v6":
             net["enable_ipv6"] = True
         net["ipam"] = {"config": [{"subnet": subnet.cidr}]}
         doc["networks"][subnet.name] = net
-    return yamlio.dump(doc)
+    return [(COMPOSE_FILE, yamlio.dump(doc)), *files, *sorted(plan.materials.items())]

@@ -22,9 +22,11 @@ COLLECTOR_UI_PORT = 16686
 COLLECTOR_INGEST_PORT = 4318
 
 MOUNT_DIR = "/etc/topoforge"  # where both targets mount a container's files
-CONFIG_MOUNT = f"{MOUNT_DIR}/config.json"
-TIMER_MOUNT = f"{MOUNT_DIR}/timers.sh"
-CERTS_MOUNT_DIR = f"{MOUNT_DIR}/certs"
+CONFIG_FILE = "config.json"
+TIMER_FILE = "timers.sh"
+CONFIG_MOUNT = f"{MOUNT_DIR}/{CONFIG_FILE}"
+TIMER_MOUNT = f"{MOUNT_DIR}/{TIMER_FILE}"
+CA_MATERIAL = "certs/ca.crt"  # a material key is its path in the output and under MOUNT_DIR
 
 SERVICE_COMMAND = f"topoforge-service --config {CONFIG_MOUNT}"
 ROUTER_COMMAND = "sleep infinity"
@@ -105,6 +107,11 @@ def runtime_config_json(c: ContainerSpec) -> str:
     return json.dumps(c.config_payload, indent=2, sort_keys=True) + "\n"
 
 
+def _tls_materials(name: str) -> dict[str, str]:
+    """The runtime config's ``tls`` roles of service ``name`` -> their material keys."""
+    return {"cert": f"certs/{name}.crt", "key": f"certs/{name}.key", "ca": CA_MATERIAL}
+
+
 def collector_endpoint(np: NetPlan) -> str:
     addr = np.address(COLLECTOR_NAME, BRIDGE_NET)
     host = f"[{addr}]" if np.family == "v6" else addr
@@ -141,11 +148,7 @@ def _runtime_config(t: ValidatedTopology, np: NetPlan, name: str, opts: Generati
         "downstream_timeout_s": DOWNSTREAM_TIMEOUT_S,
     }
     if opts.scheme == "https":
-        cfg["tls"] = {
-            "cert": f"{CERTS_MOUNT_DIR}/{name}.crt",
-            "key": f"{CERTS_MOUNT_DIR}/{name}.key",
-            "ca": f"{CERTS_MOUNT_DIR}/ca.crt",
-        }
+        cfg["tls"] = {role: f"{MOUNT_DIR}/{key}" for role, key in _tls_materials(name).items()}
     return cfg
 
 
@@ -171,7 +174,7 @@ def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> De
         from . import tls  # cryptography loads only for the HTTPS target
 
         authority = tls.generate_authority(opts.seed)
-        materials["certs/ca.crt"] = authority.cert_pem
+        materials[CA_MATERIAL] = authority.cert_pem
 
     containers: list[ContainerSpec] = []
     for name in t.entities:
@@ -198,13 +201,10 @@ def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> De
                 leaf = tls.generate_leaf(
                     authority, name, [a for _n, a in spec.attachments], opts.seed
                 )
-                materials[f"certs/{name}.crt"] = leaf.cert_pem
-                materials[f"certs/{name}.key"] = leaf.key_pem
-                spec.tls_files = {
-                    f"{CERTS_MOUNT_DIR}/ca.crt": "certs/ca.crt",
-                    f"{CERTS_MOUNT_DIR}/{name}.crt": f"certs/{name}.crt",
-                    f"{CERTS_MOUNT_DIR}/{name}.key": f"certs/{name}.key",
-                }
+                keys = _tls_materials(name)
+                materials[keys["cert"]] = leaf.cert_pem
+                materials[keys["key"]] = leaf.key_pem
+                spec.tls_files = {f"{MOUNT_DIR}/{key}": key for key in keys.values()}
         containers.append(spec)
 
     if opts.tracing:

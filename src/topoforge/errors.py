@@ -5,29 +5,27 @@ class TopoforgeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigSyntaxError(TopoforgeError):
-    """The configuration document is not well-formed markup."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 class LocatedError(TopoforgeError):
-    """An error whose message is prefixed with the offending entity and field."""
+    """An error whose message is prefixed with where it is: the document line,
+    the offending entity, and the entity's field."""
 
-    def __init__(self, message: str, entity: str | None = None, field: str | None = None):
+    def __init__(
+        self, message: str, entity: str | None = None, field: str | None = None,
+        line: int | None = None,
+    ):
         self.entity = entity
         self.field = field
-        loc = ""
+        self.line = line
+        loc = [] if line is None else [f"line {line}"]
         if entity:
-            loc = f"entity '{entity}'"
+            loc.append(f"entity '{entity}'")
             if field:
-                loc += f", field '{field}'"
-            loc += ": "
-        super().__init__(loc + message)
+                loc.append(f"field '{field}'")
+        super().__init__(f"{', '.join(loc)}: {message}" if loc else message)
+
+
+class ConfigSyntaxError(LocatedError):
+    """The configuration document is not well-formed markup."""
 
 
 class SchemaError(LocatedError):

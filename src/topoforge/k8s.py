@@ -15,7 +15,9 @@ import re
 
 from . import yamlio
 from .deploy import (
+    CONFIG_FILE,
     MOUNT_DIR,
+    TIMER_FILE,
     ContainerSpec,
     DeploymentPlan,
     main_command,
@@ -26,14 +28,15 @@ from .errors import ValidationError
 
 # a Service name is an RFC 1035 label (kubernetes.io, "Object Names and IDs")
 SERVICE_NAME_RE = re.compile(r"[a-z]([-a-z0-9]{0,61}[a-z0-9])?")
+MANIFEST_DIR = "manifests"
 
 
 def _configmap(c: ContainerSpec) -> dict:
     data = {}
     if c.config_payload is not None:
-        data["config.json"] = runtime_config_json(c)
+        data[CONFIG_FILE] = runtime_config_json(c)
     if c.timer_script:
-        data["timers.sh"] = c.timer_script
+        data[TIMER_FILE] = c.timer_script
     return {
         "apiVersion": "v1",
         "kind": "ConfigMap",
@@ -115,7 +118,8 @@ def _service(c: ContainerSpec) -> dict:
 
 
 def emit_k8s(plan: DeploymentPlan) -> list[tuple[str, str]]:
-    """(file name, manifest text) pairs, one file per manifest.
+    """(relative path, manifest text) of every file of the k8s target, one
+    manifest per file under ``manifests/``.
 
     Raises ValidationError for a container whose name is not a valid
     Kubernetes Service name.
@@ -127,11 +131,11 @@ def emit_k8s(plan: DeploymentPlan) -> list[tuple[str, str]]:
                 "digits or '-', starting with a letter and ending with a letter or digit",
                 c.name,
             )
-    out = []
+    docs = []
     for c in plan.containers:
-        out.append((f"{c.name}-configmap.yaml", yamlio.dump(_configmap(c))))
+        docs.append((f"{c.name}-configmap.yaml", _configmap(c)))
         if c.tls_files:
-            out.append((f"{c.name}-secret.yaml", yamlio.dump(_secret(c, plan.materials))))
-        out.append((f"{c.name}-deployment.yaml", yamlio.dump(_deployment(c))))
-        out.append((f"{c.name}-service.yaml", yamlio.dump(_service(c))))
-    return out
+            docs.append((f"{c.name}-secret.yaml", _secret(c, plan.materials)))
+        docs.append((f"{c.name}-deployment.yaml", _deployment(c)))
+        docs.append((f"{c.name}-service.yaml", _service(c)))
+    return [(f"{MANIFEST_DIR}/{name}", yamlio.dump(doc)) for name, doc in docs]

@@ -234,9 +234,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         # bodies are ignored; method-agnostic GET semantics
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self.send_error(400, "malformed Content-Length")  # and closes the connection
+            return
+        self.rfile.read(int(length))
         self._handle()
 
     def _send(self, status: int, body: bytes, ctype: str = "application/octet-stream"):
@@ -367,13 +369,15 @@ class Microservice:
         parent = parse_traceparent(traceparent)
         trace_id = parent[0] if parent else self._new_id(16)
         server_span_id = self._new_id(8)
-        start_ns = time.time_ns()
+        # spans are timed on the monotonic clock, so a wall-clock step cannot
+        # end one before it starts; one wall-clock reading places them all
+        start_ns = time.monotonic_ns()
         calls = []  # (span id, downstream, start, end, ok)
         for ds in endpoint.downstreams:
             span_id = self._new_id(8)
-            call_start = time.time_ns()
+            call_start = time.monotonic_ns()
             ok = self._call_downstream(ds, trace_id, span_id)
-            calls.append((span_id, ds, call_start, time.time_ns(), ok))
+            calls.append((span_id, ds, call_start, time.monotonic_ns(), ok))
             if not ok:  # fail fast; remaining downstreams are not queried
                 reply = 502, f"downstream '{ds.name}' failed".encode(), "text/plain"
                 break
@@ -381,17 +385,21 @@ class Microservice:
             reply = 200, self._payload(endpoint.psize), "application/octet-stream"
 
         if self.exporter:
+            end_ns = time.monotonic_ns()
+            to_wall = time.time_ns() - end_ns
             svc, entrypoint = self.config.name, endpoint.entrypoint
             spans = [SpanRecord(
                 trace_id=trace_id, span_id=server_span_id,
                 parent_span_id=parent[1] if parent else None,
-                name=f"{svc}{entrypoint}", start_ns=start_ns, end_ns=time.time_ns(),
+                name=f"{svc}{entrypoint}",
+                start_ns=start_ns + to_wall, end_ns=end_ns + to_wall,
                 attributes={"peer": svc, "entrypoint": entrypoint, "status": str(reply[0])},
             )]
             spans += (
                 SpanRecord(
                     trace_id=trace_id, span_id=span_id, parent_span_id=server_span_id,
-                    name=f"call {ds.name}{ds.url}", start_ns=start, end_ns=end,
+                    name=f"call {ds.name}{ds.url}",
+                    start_ns=start + to_wall, end_ns=end + to_wall,
                     attributes={
                         "peer": ds.name, "entrypoint": ds.url, "status": "ok" if ok else "error",
                     },

@@ -37,14 +37,13 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 
 from .errors import WorkloadUnreachableError
 from .model import ImpairmentSpec
 from .netplan import impairment_timeline, timer_window
 from .validation import ValidatedTopology
 
-US = 1.0
 MS = 1_000.0
 S = 1_000_000.0
 DIGEST_BLOCK = 4096  # event times hashed per sha256 update
@@ -93,7 +92,6 @@ class SimReport:
     completed: int
     failed: int
     achieved_rate: float  # completions inside the load window, per virtual second
-    rtt_count: int
     rtt_mean_us: float
     rtt_p50_us: float
     rtt_p99_us: float
@@ -109,7 +107,7 @@ class SimReport:
             "failed": self.failed,
             "achieved_rate": self.achieved_rate,
             "rtt": {
-                "count": self.rtt_count,
+                "count": self.completed,
                 "mean_us": self.rtt_mean_us,
                 "p50_us": self.rtt_p50_us,
                 "p99_us": self.rtt_p99_us,
@@ -124,7 +122,7 @@ class SimReport:
         lines = [
             f"requests     issued={self.issued} completed={self.completed} failed={self.failed}",
             f"rate         {self.achieved_rate:.1f} req/s",
-            f"rtt          n={self.rtt_count} mean={self.rtt_mean_us:.1f}us "
+            f"rtt          n={self.completed} mean={self.rtt_mean_us:.1f}us "
             f"p50={self.rtt_p50_us:.1f}us p99={self.rtt_p99_us:.1f}us",
             "entity bytes:",
         ]
@@ -272,7 +270,7 @@ class _Exchange:
         self.route = route
         self.url = url
         self.on_done = on_done
-        self.eid = world.next_exchange_id()
+        self.eid = next(world.exchange_ids)
         self.issued_at = world.now
         self.deadline = world.now + deadline_us
         # at the terminal service: None until the request first arrives, ()
@@ -387,7 +385,7 @@ class SimWorld:
         self.exchanges: dict[int, _Exchange] = {}
         self._timer_queues: dict[float, _TimerQueue] = {}
         self.rto_timers = self.timers(self.params.rto_us)
-        self._next_eid = 0
+        self.exchange_ids = count(1)
 
         self.entities: dict[str, object] = {}
         for name, spec in topology.services.items():
@@ -402,10 +400,6 @@ class SimWorld:
             self.links[(b, a)] = _LinkDir(self, edge.impairments)
 
     # --- scheduling -----------------------------------------------------------
-
-    def next_exchange_id(self) -> int:
-        self._next_eid += 1
-        return self._next_eid
 
     def timers(self, delay_us: float) -> _TimerQueue:
         """The queue of timers armed at now + ``delay_us``."""
@@ -567,7 +561,6 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
         completed=completed,
         failed=stats["failed"],
         achieved_rate=stats["in_window"] / workload.duration_s,
-        rtt_count=completed,
         rtt_mean_us=total_rtt / completed if completed else 0.0,
         rtt_p50_us=_percentile(values, ends, 0.50),
         rtt_p99_us=_percentile(values, ends, 0.99),

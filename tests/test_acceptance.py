@@ -44,7 +44,7 @@ def _passed(n, detail):
 def test_criterion_01_fig4_end_to_end(fig4_text):
     topology = tf.validate(tf.parse_config(fig4_text))
     _np, plan = tf.plan_deployment(topology, tf.GenerationOptions())
-    text = tf.emit_compose(plan)
+    text = dict(tf.emit_compose(plan))["compose.yml"]
     doc = yaml.safe_load(text)
 
     assert len(doc["services"]) == 4
@@ -59,7 +59,7 @@ def test_criterion_01_fig4_end_to_end(fig4_text):
     # byte-stable snapshot
     assert text == (DATA / "compose_fig4.yml").read_text()
     _np, plan2 = tf.plan_deployment(tf.validate(tf.parse_config(fig4_text)), tf.GenerationOptions())
-    assert tf.emit_compose(plan2) == text
+    assert dict(tf.emit_compose(plan2))["compose.yml"] == text
     _passed(1, "4 containers, 3 networks, shaping + timer script, snapshot byte-stable")
 
 
@@ -250,16 +250,17 @@ def test_criterion_09_runtime_contract(tmp_path):
 
 
 def test_criterion_10_determinism(fig4_topology):
-    opts = tf.GenerationOptions(scheme="https", tracing=True, seed=123)
-    outputs = []
-    for _ in range(2):
-        _np, plan = tf.plan_deployment(fig4_topology, opts)
-        files = {"compose.yml": tf.emit_compose(plan)}
-        files.update(plan.materials)
-        for c in plan.containers:
-            files[f"{c.name}.json"] = repr(c.config_payload)
-        outputs.append(files)
-    assert outputs[0] == outputs[1]
+    # each target's whole file set, as generate writes it, certificates included
+    files = {}
+    for target, emit in (("compose", tf.emit_compose), ("k8s", tf.emit_k8s)):
+        opts = tf.GenerationOptions(scheme="https", tracing=True, seed=123, target=target)
+        first, second = (emit(tf.plan_deployment(fig4_topology, opts)[1]) for _ in range(2))
+        assert first == second
+        files.update(first)
+    assert {
+        "compose.yml", "configs/frontend.json", "timers/frontend.sh", "certs/ca.crt",
+        "manifests/frontend-secret.yaml",
+    } <= files.keys()
 
     w = tf.Workload(service="frontend", entrypoint="/", mode="closed", clients=4, duration_s=0.25)
     a = tf.run(tf.build_sim(fig4_topology, seed=77), w)

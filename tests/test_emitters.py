@@ -25,7 +25,8 @@ def _plan(topology, **kw):
 class TestCompose:
     def test_golden_snapshot(self, fig4_topology):
         _np, plan = _plan(fig4_topology)
-        assert tf.emit_compose(plan) == (DATA / "compose_fig4.yml").read_text()
+        golden = (DATA / "compose_fig4.yml").read_text()
+        assert dict(tf.emit_compose(plan))["compose.yml"] == golden
 
     def test_byte_stable(self, fig4_topology):
         _np, plan_a = _plan(fig4_topology)
@@ -34,7 +35,7 @@ class TestCompose:
 
     def test_document_shape(self, fig4_topology):
         _np, plan = _plan(fig4_topology)
-        doc = yaml.safe_load(tf.emit_compose(plan))
+        doc = yaml.safe_load(dict(tf.emit_compose(plan))["compose.yml"])
         assert sorted(doc["services"]) == ["db", "frontend", "payment", "r1"]
         assert sorted(doc["networks"]) == ["bridge", "link_db_r1", "link_frontend_r1"]
         frontend = doc["services"]["frontend"]
@@ -50,14 +51,25 @@ class TestCompose:
 
     def test_network_addresses_match_plan(self, fig4_topology):
         np, plan = _plan(fig4_topology)
-        doc = yaml.safe_load(tf.emit_compose(plan))
+        doc = yaml.safe_load(dict(tf.emit_compose(plan))["compose.yml"])
         for name, entry in doc["services"].items():
             for net, netconf in entry.get("networks", {}).items():
                 assert netconf["ipv4_address"] == np.address(name, net)
 
+    def test_writes_exactly_the_mounted_files(self, fig4_topology):
+        _np, plan = _plan(fig4_topology, scheme="https")
+        files = dict(tf.emit_compose(plan))
+        doc = yaml.safe_load(files.pop("compose.yml"))
+        mounted = {
+            volume.split(":")[0].removeprefix("./")
+            for entry in doc["services"].values() for volume in entry.get("volumes", ())
+        }
+        assert mounted == files.keys()
+        assert "timers/frontend.sh" in files and "certs/payment.key" in files
+
     def test_v6_document(self, fig4_topology):
         _np, plan = _plan(fig4_topology, family="v6")
-        doc = yaml.safe_load(tf.emit_compose(plan))
+        doc = yaml.safe_load(dict(tf.emit_compose(plan))["compose.yml"])
         for net in doc["networks"].values():
             assert net["enable_ipv6"] is True
         assert (
@@ -97,26 +109,26 @@ class TestKubernetes:
         assert len(files) == 12  # 4 entities x (configmap, deployment, service)
         for entity in ("frontend", "r1", "db", "payment"):
             for kind in ("configmap", "deployment", "service"):
-                assert f"{entity}-{kind}.yaml" in files
+                assert f"manifests/{entity}-{kind}.yaml" in files
 
     def test_deployment_content(self, fig4_topology):
         _np, plan = _plan(fig4_topology, target="k8s")
         files = dict(tf.emit_k8s(plan))
-        dep = yaml.safe_load(files["frontend-deployment.yaml"])
+        dep = yaml.safe_load(files["manifests/frontend-deployment.yaml"])
         (container,) = dep["spec"]["template"]["spec"]["containers"]
         assert container["securityContext"] == {"capabilities": {"add": ["NET_ADMIN"]}}
         hook = container["lifecycle"]["postStart"]["exec"]["command"][2]
         assert "tc qdisc add dev eth1 root netem rate 100mbit" in hook
         assert "(sh /etc/topoforge/timers.sh &)" in hook
-        cm = yaml.safe_load(files["frontend-configmap.yaml"])
+        cm = yaml.safe_load(files["manifests/frontend-configmap.yaml"])
         assert set(cm["data"]) == {"config.json", "timers.sh"}
 
     def test_https_pods_mount_their_tls_files(self, fig4_topology):
         _np, plan = _plan(fig4_topology, target="k8s", scheme="https")
         files = dict(tf.emit_k8s(plan))
         for name in ("frontend", "db", "payment"):
-            secret = yaml.safe_load(files[f"{name}-secret.yaml"])
-            dep = yaml.safe_load(files[f"{name}-deployment.yaml"])
+            secret = yaml.safe_load(files[f"manifests/{name}-secret.yaml"])
+            dep = yaml.safe_load(files[f"manifests/{name}-deployment.yaml"])
             pod = dep["spec"]["template"]["spec"]
             (mount,) = pod["containers"][0]["volumeMounts"]
             (volume,) = pod["volumes"]
@@ -133,11 +145,11 @@ class TestKubernetes:
             assert mounted[tls["cert"]].encode() == plan.materials[f"certs/{name}.crt"]
             assert mounted[tls["key"]].encode() == plan.materials[f"certs/{name}.key"]
             assert mounted[tls["ca"]].encode() == plan.materials["certs/ca.crt"]
-        assert "r1-secret.yaml" not in files
+        assert "manifests/r1-secret.yaml" not in files
 
     def test_router_service_headless(self, fig4_topology):
         _np, plan = _plan(fig4_topology, target="k8s")
-        svc = yaml.safe_load(dict(tf.emit_k8s(plan))["r1-service.yaml"])
+        svc = yaml.safe_load(dict(tf.emit_k8s(plan))["manifests/r1-service.yaml"])
         assert svc["spec"]["clusterIP"] == "None"
 
     @pytest.mark.parametrize(
@@ -153,7 +165,7 @@ class TestKubernetes:
 
     def test_service_ports(self, fig4_topology):
         _np, plan = _plan(fig4_topology, target="k8s")
-        svc = yaml.safe_load(dict(tf.emit_k8s(plan))["db-service.yaml"])
+        svc = yaml.safe_load(dict(tf.emit_k8s(plan))["manifests/db-service.yaml"])
         assert svc["spec"]["ports"] == [
             {"name": "port-10001", "port": 10001, "targetPort": 10001}
         ]

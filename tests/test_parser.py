@@ -133,6 +133,28 @@ class TestSchemaRejection:
             )
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (ConfigSyntaxError("duplicate key 'port'", line=4), "line 4: duplicate key 'port'"),
+        (SchemaError("unknown key 'x'", "a"), "entity 'a': unknown key 'x'"),
+        (
+            SchemaError("must be positive", "a", "port"),
+            "entity 'a', field 'port': must be positive",
+        ),
+        (SchemaError("must be positive", field="port"), "must be positive"),
+    ],
+    ids=["line", "entity", "entity-field", "field-only"],
+)
+def test_error_location_prefix(exc, message):
+    assert str(exc) == message
+
+
+def test_syntax_error_keeps_its_line():
+    assert ConfigSyntaxError("bad", line=7).line == 7
+    assert ConfigSyntaxError("bad").line is None
+
+
 class TestTimerSchema:
     def _doc(self, timer_body: str) -> str:
         return (

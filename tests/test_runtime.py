@@ -2,6 +2,7 @@
 
 import contextlib
 import http.client
+import itertools
 import json
 import random
 import socket
@@ -257,6 +258,24 @@ class TestRequestHandling:
             assert resp.status == 200
             assert len(resp.read()) == 300
 
+    @staticmethod
+    def _raw_post(port, headers, body=b""):
+        """The status line of one POST on a fresh connection that the server closes."""
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nHost: leaf\r\n" + headers + b"\r\n" + body)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        return reply.split(b"\r\n", 1)[0]
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_post_with_bad_content_length_is_400(self, stack, length, capfd):
+        status = self._raw_post(stack["leaf"].port, b"Content-Length: " + length + b"\r\n")
+        assert status.startswith(b"HTTP/1.1 400 ")
+        good = b"Content-Length: 3\r\nConnection: close\r\n"
+        assert self._raw_post(stack["leaf"].port, good, b"abc") == b"HTTP/1.1 200 OK"
+        assert capfd.readouterr().err == ""
+
 
 class TestTracing:
     def _spans_of(self, stack, tier):
@@ -292,6 +311,21 @@ class TestTracing:
             assert a["endNs"] <= b["startNs"]  # strictly sequential calls
         for c in children:
             assert c["startNs"] <= c["endNs"]
+
+    def test_wall_clock_stepping_back_keeps_spans_ordered(self, stack, monkeypatch):
+        countdown = itertools.count(2 * 10**18, -10**9)
+        monkeypatch.setattr(time, "time_ns", lambda: next(countdown))
+        status, _body, _headers = _get(stack["front"].port, "/")
+        assert status == 200
+        for tier in ("front", "mid", "leaf"):
+            spans = self._spans_of(stack, tier)
+            assert spans and all(s["startNs"] <= s["endNs"] for s in spans)
+        front = self._spans_of(stack, "front")
+        server = next(s for s in front if s["name"] == "front/")
+        calls = [s for s in front if s["parentSpanId"] == server["spanId"]]
+        assert len(calls) == 2
+        for call in calls:
+            assert server["startNs"] <= call["startNs"] <= call["endNs"] <= server["endNs"]
 
     def test_fresh_trace_id_without_header(self, stack):
         _get(stack["leaf"].port, "/")

@@ -74,7 +74,7 @@ def test_libyaml_chosen_when_installed():
 def test_fig4_compose_golden(both, fig4_topology):
     _np, plan = plan_deployment(fig4_topology, GenerationOptions())
     golden = (DATA / "compose_fig4.yml").read_text()
-    assert both(lambda: tf.emit_compose(plan)) == (golden, golden)
+    assert both(lambda: dict(tf.emit_compose(plan))["compose.yml"]) == (golden, golden)
 
 
 @pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
@@ -84,7 +84,7 @@ def test_k8s_manifests_all_options(both, path):
     chosen, pure = both(lambda: tf.emit_k8s(plan))
     assert chosen == pure
     # no scalar is folded: the runtime config sits on one line of its manifest
-    configmap = dict(chosen)["frontend-configmap.yaml"]
+    configmap = dict(chosen)["manifests/frontend-configmap.yaml"]
     assert any(line.startswith("  config.json: ") for line in configmap.splitlines())
 
 
