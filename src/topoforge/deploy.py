@@ -103,8 +103,26 @@ def setup_script(c: ContainerSpec) -> str:
 
 
 def runtime_config_json(c: ContainerSpec) -> str:
-    """The container's runtime config as the file both targets mount."""
-    return json.dumps(c.config_payload, indent=2, sort_keys=True) + "\n"
+    """The container's runtime config as the file both targets mount: the text
+    of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
+    return _indented_json(c.config_payload, "\n") + "\n"
+
+
+def _indented_json(value, newline: str) -> str:
+    # json.dumps runs its pure-Python encoder whenever it indents, and that
+    # encoder leaves a reference cycle per call; here the C encoder writes
+    # every key and leaf.  Payload keys are strings.
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = ",".join(
+            f"{inner}{json.dumps(key)}: {_indented_json(value[key], inner)}"
+            for key in sorted(value)
+        )
+        return f"{{{items}{newline}}}"
+    if isinstance(value, (list, tuple)) and value:
+        items = ",".join(inner + _indented_json(item, inner) for item in value)
+        return f"[{items}{newline}]"
+    return json.dumps(value)
 
 
 def _tls_materials(name: str) -> dict[str, str]:

@@ -210,6 +210,12 @@ def random_payload(n: int, rng: random.Random | None = None) -> bytes:
     return os.urandom(n)
 
 
+# a chunked request body: the hex size of each chunk, and the longest line
+# (size line or trailer field) read before the request is refused
+_CHUNK_SIZE_RE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+_MAX_LINE = 65536
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "topoforge-service"
@@ -233,13 +239,49 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle()
 
     def do_POST(self):
-        # bodies are ignored; method-agnostic GET semantics
-        length = self.headers.get("Content-Length", "0")
-        if not (length.isascii() and length.isdigit()):
-            self.send_error(400, "malformed Content-Length")  # and closes the connection
+        # bodies are read and ignored; method-agnostic GET semantics.  Each
+        # send_error below also closes the connection
+        codings = self.headers.get_all("Transfer-Encoding")
+        if codings is None:
+            length = self.headers.get("Content-Length", "0")
+            if not (length.isascii() and length.isdigit()):
+                self.send_error(400, "malformed Content-Length")
+                return
+            self.rfile.read(int(length))
+        elif "Content-Length" in self.headers:
+            # RFC 9112 6.3: a message with both may be request smuggling
+            self.send_error(400, "both Transfer-Encoding and Content-Length")
             return
-        self.rfile.read(int(length))
+        elif [c.strip().lower() for c in ",".join(codings).split(",")] != ["chunked"]:
+            self.send_error(501, "unsupported transfer coding")
+            return
+        elif not self._discard_chunked_body():
+            self.send_error(400, "malformed chunked body")
+            return
         self._handle()
+
+    def _discard_chunked_body(self) -> bool:
+        """Read a chunked body and its trailers (RFC 9112 7.1); False if malformed."""
+        while True:
+            size = self.rfile.readline(_MAX_LINE).split(b";", 1)[0].strip()
+            if not _CHUNK_SIZE_RE.fullmatch(size):
+                return False
+            left = int(size, 16)
+            if left == 0:
+                break
+            while left:
+                data = self.rfile.read(min(left, 65536))
+                if not data:
+                    return False
+                left -= len(data)
+            if self.rfile.readline(_MAX_LINE) not in (b"\r\n", b"\n"):
+                return False
+        while True:  # trailer fields, up to the empty line
+            line = self.rfile.readline(_MAX_LINE)
+            if line in (b"\r\n", b"\n"):
+                return True
+            if not line.endswith(b"\n"):  # the stream ended, or an overlong line
+                return False
 
     def _send(self, status: int, body: bytes, ctype: str = "application/octet-stream"):
         self.send_response(status)

@@ -1,21 +1,43 @@
 """Compose and kubernetes emission, generation options, TLS materials."""
 
+import json
 from pathlib import Path
 
 import pytest
 import yaml
 from cryptography import x509
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import topoforge as tf
 from topoforge import k8s, tls
 from topoforge.deploy import (
     COLLECTOR_NAME,
+    ContainerSpec,
     GenerationOptions,
     plan_deployment,
+    runtime_config_json,
 )
 from topoforge.errors import OptionConflictError
 
 DATA = Path(__file__).parent / "data"
+SHOP = Path(__file__).parent.parent / "topologies" / "shop_demo.yml"
+ALL_FLAGS = dict(family="v6", scheme="https", tracing=True, ioam=True, target="k8s")
+
+_json_keys = st.text(max_size=6)
+_json_payloads = st.dictionaries(
+    _json_keys,
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_keys, inner, max_size=4),
+        max_leaves=20,
+    ),
+    max_size=5,
+)
+
+
+def _indented(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _plan(topology, **kw):
@@ -100,6 +122,22 @@ class TestRuntimeConfigPayload:
         _np, plan = _plan(fig4_topology)
         cfg = plan.container("db").config_payload
         assert cfg["endpoints"][0]["downstreams"] == []
+
+    @pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
+    @pytest.mark.parametrize("kw", [{}, ALL_FLAGS], ids=["plain", "all-flags"])
+    def test_json_text_is_the_indenting_encoders(self, path, kw):
+        topology = tf.validate(tf.parse_config(path.read_text()), family=kw.get("family", "v4"))
+        _np, plan = _plan(topology, **kw)
+        services = [c for c in plan.containers if c.config_payload is not None]
+        assert services
+        for c in services:
+            assert runtime_config_json(c) == _indented(c.config_payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_json_payloads)
+    def test_json_text_of_any_payload(self, payload):
+        spec = ContainerSpec(name="s", image="i", role="service", config_payload=payload)
+        assert runtime_config_json(spec) == _indented(payload)
 
 
 class TestKubernetes:

@@ -276,6 +276,36 @@ class TestRequestHandling:
         assert self._raw_post(stack["leaf"].port, good, b"abc") == b"HTTP/1.1 200 OK"
         assert capfd.readouterr().err == ""
 
+    def test_chunked_post_body_is_consumed(self, stack):
+        body = b"5;ext=1\r\nhello\r\n1A\r\n" + b"x" * 26 + b"\r\n0\r\nX-Trailer: t\r\n\r\n"
+        request = b"POST / HTTP/1.1\r\nHost: leaf\r\nTransfer-Encoding: chunked\r\n\r\n" + body
+        get = b"GET / HTTP/1.1\r\nHost: leaf\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", stack["leaf"].port), timeout=5) as sock:
+            sock.sendall(request + get)  # pipelined on one keep-alive connection
+            with sock.makefile("rb") as replies:
+                for _ in range(2):
+                    assert replies.readline() == b"HTTP/1.1 200 OK\r\n"
+                    headers = {}
+                    while (line := replies.readline()) != b"\r\n":
+                        name, value = line.decode().split(":", 1)
+                        headers[name.lower()] = value.strip()
+                    assert len(replies.read(int(headers["content-length"]))) == 300
+
+    @pytest.mark.parametrize(
+        "headers, body, status",
+        [
+            (b"Transfer-Encoding: gzip, chunked\r\n", b"0\r\n\r\n", b"501"),
+            (b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n", b"0\r\n\r\n", b"400"),
+            (b"Transfer-Encoding: chunked\r\n", b"zz\r\n\r\n", b"400"),
+            (b"Transfer-Encoding: chunked\r\n", b"5\r\nhello!!\r\n0\r\n\r\n", b"400"),
+        ],
+        ids=["other-coding", "both-headers", "bad-size", "long-chunk"],
+    )
+    def test_unreadable_chunked_post_is_refused(self, stack, headers, body, status, capfd):
+        reply = self._raw_post(stack["leaf"].port, headers, body)
+        assert reply.startswith(b"HTTP/1.1 " + status + b" ")
+        assert capfd.readouterr().err == ""
+
 
 class TestTracing:
     def _spans_of(self, stack, tier):

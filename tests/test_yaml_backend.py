@@ -4,18 +4,23 @@ Each check runs once with the backend ``topoforge.yamlio`` chose and once with
 PyYAML's pure-Python classes patched in, and compares the results.
 """
 
+import gc
+import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import topoforge as tf
 from topoforge import parser, yamlio
 from topoforge.deploy import GenerationOptions, plan_deployment
 from topoforge.errors import ConfigSyntaxError
 
-from conftest import random_topology_text
+from conftest import chain_config, random_topology_text
 
 DATA = Path(__file__).parent / "data"
 SHOP = Path(__file__).parent.parent / "topologies" / "shop_demo.yml"
@@ -125,3 +130,73 @@ def test_syntax_error_line(both, text):
     chosen, pure = both(lambda: _syntax_error_line(text))
     assert chosen == pure
     assert chosen is not None
+
+
+# strings that read back as another type, need quotes, or span lines
+TRICKY = (
+    "true", "no", "On", "~", "null", "", "0x1F", "0o17", "1_000", "1:30", ".inf", "-.inf",
+    ".NaN", "1e3", "1.5", "2024-01-01", "2024-01-01 10:00:00", "<<", "=", "- x", "a: b",
+    "#c", "[x]", "{x}", "&a", "*a", "!t", "%x", "@x", "`x", "'q'", '"q"', " lead",
+    "trail ", "two\nlines", "end\n", "\n", "tab\there", "ünïcødé", "日本", "\x85", "\u2028",
+)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e17, -0.0])
+    | st.sampled_from(TRICKY)
+    | st.text(max_size=12)
+)
+_keys = st.sampled_from(TRICKY) | st.text(max_size=8) | st.integers() | st.booleans() | st.none()
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+# ``both`` undoes its patch after every call, so it can serve many examples
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_documents)
+def test_dump_writes_what_yaml_dump_writes(both, doc):
+    def dumps():
+        expected = yaml.dump(
+            doc, Dumper=yamlio.Dumper, sort_keys=False, default_flow_style=False,
+            width=yamlio.WIDTH,
+        )
+        return yamlio.dump(doc), expected
+
+    chosen, pure = both(dumps)
+    assert chosen[0] == chosen[1]
+    assert pure[0] == pure[1]
+
+
+def test_dump_rejects_what_yaml_cannot_represent():
+    with pytest.raises(yaml.representer.RepresenterError):
+        yamlio.dump({"a": [1, (2, 3)]})
+
+
+def test_shared_sub_objects_are_written_in_full():
+    shared = {"k": [1]}
+    assert yamlio.dump({"a": shared, "b": shared}) == "a:\n  k:\n  - 1\nb:\n  k:\n  - 1\n"
+
+
+def test_dump_memory_stays_near_its_output(monkeypatch):
+    # dump streams events into the emitter: no node tree, no list of events
+    topology = tf.validate(tf.parse_config(chain_config(1000)))
+    _np, plan = plan_deployment(topology, GenerationOptions(tracing=True))
+    docs = []
+    with monkeypatch.context() as m:
+        m.setattr(yamlio, "dump", lambda doc: docs.append(doc) or "")
+        tf.emit_compose(plan)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = yamlio.dump(docs[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text), f"peak {peak} B for {len(text)} B of YAML"
