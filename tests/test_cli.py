@@ -12,6 +12,7 @@ from conftest import colliding_links_config, loss_chain_config
 
 DATA = Path(__file__).parent / "data"
 FIG4 = str(DATA / "fig4.yml")
+SHOP = Path(__file__).parent.parent / "topologies" / "shop_demo.yml"
 
 
 @pytest.fixture(autouse=True)
@@ -80,6 +81,19 @@ def test_inspect_prints_routes_and_commands(capsys):
     assert "ip route add 10.0.4.2/32 via 10.0.8.3" in out
     assert "tc qdisc add dev eth1 root netem rate 100mbit" in out
     assert "tc qdisc change dev eth1 root netem rate 1gbit" in out
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        ([FIG4], "inspect_fig4.txt"),
+        ([str(SHOP), "--ipv6"], "inspect_shop_demo_v6.txt"),
+    ],
+    ids=["fig4-v4", "shop_demo-v6"],
+)
+def test_inspect_output_golden(argv, golden, capsys):
+    assert cli.main(["inspect", *argv]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
 def test_simulate_json(capsys):
@@ -188,8 +202,7 @@ def test_k8s_rejects_names_kubernetes_refuses(name, tmp_path, capsys):
 
 def test_k8s_accepts_shop_demo(tmp_path):
     out = tmp_path / "out"
-    shop = Path(__file__).parent.parent / "topologies" / "shop_demo.yml"
-    assert cli.main(["generate", str(shop), "--target", "k8s", "--output", str(out)]) == 0
+    assert cli.main(["generate", str(SHOP), "--target", "k8s", "--output", str(out)]) == 0
     assert (out / "manifests" / "frontendproxy-service.yaml").is_file()
 
 
