@@ -88,7 +88,6 @@ def _options(args) -> GenerationOptions:
         scheme="https" if args.https else "http",
         tracing=args.tracing,
         ioam=args.ioam,
-        target=args.target,
         base=args.base_v6 if args.family == "v6" else args.base_v4,
         seed=args.seed,
         service_image=os.environ.get("TOPOFORGE_SERVICE_IMAGE", DEFAULT_SERVICE_IMAGE),
@@ -108,7 +107,7 @@ def cmd_generate(args) -> int:
     opts = _options(args)
     topo = _load(args)
     _np, plan = plan_deployment(topo, opts)
-    files = emit_k8s(plan) if opts.target == "k8s" else emit_compose(plan)
+    files = emit_k8s(plan) if args.target == "k8s" else emit_compose(plan)
     out = Path(args.output)
     # one mkdir per output directory, not one per file
     for directory in sorted({rel.rpartition("/")[0] for rel, _ in files}):
@@ -135,8 +134,8 @@ def cmd_inspect(args) -> int:
 
     np = plan_network(topo, family=args.family, base=args.base_v6 if args.family == "v6" else args.base_v4)
     print("call graph:")
-    for (src, sep), (dst, url) in topo.call_graph:
-        print(f"  {src}{sep} -> {dst}{url}")
+    for rp in topo.path_table:
+        print(f"  {rp.service}{rp.entrypoint} -> {rp.terminal}{rp.url}")
     print("links:")
     for (a, b), edge in sorted(topo.link_graph.items()):
         print(f"  {a} <-> {b}")
@@ -144,8 +143,9 @@ def cmd_inspect(args) -> int:
     for s in np.subnets:
         print(f"  {s.name:<24} {s.cidr}")
     print("interfaces:")
-    for (entity, subnet), addr in sorted(np.interfaces.items()):
-        print(f"  {entity:<16} {subnet:<24} {addr} ({np.iface_names[(entity, subnet)]})")
+    for entity, by_subnet in sorted(np.attached.items()):
+        for subnet, (addr, iface) in sorted(by_subnet.items()):
+            print(f"  {entity:<16} {subnet:<24} {addr} ({iface})")
     print("host ports:")
     for svc, spec in topo.services.items():
         print(f"  {svc:<16} {spec.port}")

@@ -40,7 +40,6 @@ class GenerationOptions:
     scheme: str = "http"  # http | https
     tracing: bool = False
     ioam: bool = False
-    target: str = "compose"  # compose | k8s
     base: str | None = None  # address base CIDR override
     seed: int = 0
     service_image: str = DEFAULT_SERVICE_IMAGE
@@ -54,8 +53,6 @@ class GenerationOptions:
             raise OptionConflictError(f"unknown address family {self.family!r}")
         if self.scheme not in ("http", "https"):
             raise OptionConflictError(f"unknown scheme {self.scheme!r}")
-        if self.target not in ("compose", "k8s"):
-            raise OptionConflictError(f"unknown target {self.target!r}")
 
 
 @dataclass
@@ -172,11 +169,10 @@ def _runtime_config(t: ValidatedTopology, np: NetPlan, name: str, opts: Generati
 
 def _ioam_commands(np: NetPlan, name: str) -> list[str]:
     # enablement hooks only; actual in-band telemetry is outside this tool
-    cmds = []
-    for subnet_name, _addr in np.attachments(name):
-        iface = np.iface_names[(name, subnet_name)]
-        cmds.append(f"sysctl -w net.ipv6.conf.{iface}.ioam6_enabled=1")
-    return cmds
+    return [
+        f"sysctl -w net.ipv6.conf.{iface}.ioam6_enabled=1"
+        for _addr, iface in np.attached.get(name, {}).values()
+    ]
 
 
 def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> DeploymentPlan:

@@ -21,7 +21,6 @@ class Fib:
     # entity -> list of (prefix network, gateway address | None for on-link)
     tables: dict[str, list[tuple[object, object]]]
     addr_owner: dict[str, str]  # address -> entity
-    subnet_names: dict[object, str]  # subnet network -> subnet name
 
     def lookup(self, entity: str, dst: str):
         dst_ip = ipaddress.ip_address(dst)
@@ -37,9 +36,10 @@ def build_fib(np: NetPlan) -> Fib:
     tables: dict[str, list] = {}
     addr_owner: dict[str, str] = {}
     networks = {s.name: s.network for s in np.subnets}
-    for (entity, subnet_name), addr in np.interfaces.items():
-        addr_owner[addr] = entity
-        tables.setdefault(entity, []).append((networks[subnet_name], None))
+    for entity, by_subnet in np.attached.items():
+        for subnet_name, (addr, _iface) in by_subnet.items():
+            addr_owner[addr] = entity
+            tables.setdefault(entity, []).append((networks[subnet_name], None))
     for entity, cmds in np.setup.items():
         for cmd in cmds:
             m = _ROUTE_RE.match(cmd)
@@ -48,15 +48,14 @@ def build_fib(np: NetPlan) -> Fib:
             prefix = ipaddress.ip_network(m.group(1))
             via = ipaddress.ip_address(m.group(2))
             tables.setdefault(entity, []).append((prefix, via))
-    subnet_names = {network: name for name, network in networks.items()}
-    return Fib(tables=tables, addr_owner=addr_owner, subnet_names=subnet_names)
+    return Fib(tables=tables, addr_owner=addr_owner)
 
 
 class ForwardingError(Exception):
     pass
 
 
-def forward(fib: Fib, np: NetPlan, src: str, dst_addr: str) -> list[str]:
+def forward(fib: Fib, src: str, dst_addr: str) -> list[str]:
     """Entity names a packet visits from ``src`` to the holder of ``dst_addr``.
 
     Each hop depends only on the entity and the destination, so a walk that
@@ -73,8 +72,9 @@ def forward(fib: Fib, np: NetPlan, src: str, dst_addr: str) -> list[str]:
             raise ForwardingError(f"{current} has no route toward {dst_addr}")
         prefix, via = match
         if via is None:
-            # on-link: deliver directly to the address owner on that subnet
-            if owner is None or (owner, fib.subnet_names[prefix]) not in np.interfaces:
+            # on-link: deliver directly to the address owner, if it has an
+            # interface on that subnet too
+            if owner is None or (prefix, None) not in fib.tables[owner]:
                 raise ForwardingError(f"{dst_addr} not on-link at {current}")
             nxt = owner
         else:
@@ -103,10 +103,10 @@ def check_path_fidelity(t, np: NetPlan) -> PathCheck:
         hops = rp.hops
         fwd_dst, rev_dst = endpoint_addresses(np, hops)
         try:
-            got = forward(fib, np, hops[0], fwd_dst)
+            got = forward(fib, hops[0], fwd_dst)
             if tuple(got) != hops:
                 failures.append(f"forward {rp.service}->{rp.terminal}: {got} != {list(hops)}")
-            back = forward(fib, np, hops[-1], rev_dst)
+            back = forward(fib, hops[-1], rev_dst)
             if tuple(back) != tuple(reversed(hops)):
                 failures.append(f"reverse {rp.terminal}->{rp.service}: {back}")
         except ForwardingError as exc:

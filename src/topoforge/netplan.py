@@ -35,8 +35,6 @@ _UNSHAPED = ImpairmentSpec()  # what the boot-time netem line changes from
 class Subnet:
     name: str
     cidr: str
-    role: str  # "bridge" | "link"
-    link: tuple[str, str] | None = None
 
     @property
     def network(self):
@@ -47,20 +45,16 @@ class Subnet:
 class NetPlan:
     family: str
     subnets: list[Subnet] = field(default_factory=list)
-    # (entity, subnet name) -> address string
-    interfaces: dict[tuple[str, str], str] = field(default_factory=dict)
+    # entity -> subnet name -> (address, in-container interface name), in
+    # subnet order; filled by allocate_networks
+    attached: dict[str, dict[str, tuple[str, str]]] = field(default_factory=dict)
     setup: dict[str, list[str]] = field(default_factory=dict)
     timer_scripts: dict[str, str] = field(default_factory=dict)
-    # (entity, subnet name) -> in-container interface name
-    iface_names: dict[tuple[str, str], str] = field(default_factory=dict)
     # entity -> interface -> the options on its egress, for interfaces that
     # have any; filled by plan_routes
     egress: dict[str, dict[str, ImpairmentSpec]] = field(default_factory=dict)
-    # indexes over the above, filled by allocate_networks
-    # link_key pair -> link subnet name
+    # link_key pair -> link subnet name, filled by allocate_networks
     _by_link: dict[tuple[str, str], str] = field(default_factory=dict, repr=False)
-    # entity -> (subnet name, address) pairs, in subnet order
-    _attachments: dict[str, list[tuple[str, str]]] = field(default_factory=dict, repr=False)
 
     def subnet_between(self, a: str, b: str) -> str:
         """Name of the subnet joining two entities: their link subnet, else
@@ -68,11 +62,11 @@ class NetPlan:
         return self._by_link.get(link_key(a, b), BRIDGE_NET)
 
     def address(self, entity: str, subnet_name: str) -> str:
-        return self.interfaces[(entity, subnet_name)]
+        return self.attached[entity][subnet_name][0]
 
     def attachments(self, entity: str) -> list[tuple[str, str]]:
         """(subnet name, address) pairs for one entity, in subnet order."""
-        return list(self._attachments.get(entity, ()))
+        return [(sname, addr) for sname, (addr, _iface) in self.attached.get(entity, {}).items()]
 
 
 def endpoint_addresses(np: NetPlan, hops: tuple[str, ...]) -> tuple[str, str]:
@@ -125,22 +119,19 @@ def allocate_networks(
 
     members_of: list[tuple[Subnet, list[str]]] = []
     if bridge_members:
-        sn = Subnet(name=BRIDGE_NET, cidr=str(next(pool)), role="bridge")
+        sn = Subnet(name=BRIDGE_NET, cidr=str(next(pool)))
         members_of.append((sn, sorted(bridge_members)))
     for a, b in t.routed_pairs:
-        sn = Subnet(name=link_subnet_name(a, b), cidr=str(next(pool)), role="link", link=(a, b))
-        np._by_link[sn.link] = sn.name
+        sn = Subnet(name=link_subnet_name(a, b), cidr=str(next(pool)))
+        np._by_link[(a, b)] = sn.name
         members_of.append((sn, [a, b]))
 
     for sn, members in members_of:
         np.subnets.append(sn)
         hosts = sn.network.network_address + 2  # .1/::1 is the docker gateway
         for i, member in enumerate(members):
-            addr = str(hosts + i)
-            attached = np._attachments.setdefault(member, [])
-            np.interfaces[(member, sn.name)] = addr
-            np.iface_names[(member, sn.name)] = f"eth{len(attached)}"
-            attached.append((sn.name, addr))
+            attached = np.attached.setdefault(member, {})
+            attached[sn.name] = (str(hosts + i), f"eth{len(attached)}")
     return np
 
 
@@ -345,9 +336,10 @@ def _egress_options(t: ValidatedTopology, np: NetPlan) -> dict[str, dict[str, Im
 
 def _iface_toward(np: NetPlan, name: str, first_hop: str) -> str | None:
     subnet = np.subnet_between(name, first_hop)
-    if (first_hop, subnet) not in np.interfaces:
+    own = np.attached.get(name, {}).get(subnet)
+    if own is None or subnet not in np.attached.get(first_hop, {}):
         return None
-    return np.iface_names.get((name, subnet))
+    return own[1]
 
 
 def plan_timer_scripts(t: ValidatedTopology, np: NetPlan) -> NetPlan:

@@ -374,7 +374,6 @@ class SimWorld:
 
     def __init__(self, topology: ValidatedTopology, seed: int = 0, params: ModelParams | None = None):
         self.topology = topology
-        self.seed = seed
         self.params = params or ModelParams()
         self.rng = random.Random(seed)
         self.now = 0.0

@@ -102,7 +102,6 @@ class ResolvedPath:
 
     service: str
     entrypoint: str
-    conn_index: int
     hops: tuple[str, ...]  # [source service, routers..., terminal service]
     url: str
     options: ImpairmentSpec
@@ -127,13 +126,10 @@ class LinkEdge:
 class ValidatedTopology:
     services: dict[str, ServiceSpec]
     routers: dict[str, RouterSpec]
-    call_graph: list[tuple[tuple[str, str], tuple[str, str]]]
     link_graph: dict[tuple[str, str], LinkEdge]
     path_table: list[ResolvedPath]
     # every entity, in declaration order
     entities: dict[str, EntitySpec]
-    # adjacent pairs of direct service-to-service connections, sorted
-    direct_pairs: list[tuple[str, str]]
     # adjacent pairs on routed paths (one link subnet each), sorted
     routed_pairs: list[tuple[str, str]]
     # entities on the shared bridge subnet, in declaration order: the ends of
@@ -192,10 +188,10 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
     path_table: list[ResolvedPath] = []
     for sname, svc in services.items():
         for ep in svc.endpoints:
-            for ci, conn in enumerate(ep.connections):
+            for conn in ep.connections:
                 _check_connection(cfg, sname, conn)
                 hops = (sname,) + conn.path.hops
-                path_table.append(ResolvedPath(sname, ep.entrypoint, ci, hops, conn.url, conn.options))
+                path_table.append(ResolvedPath(sname, ep.entrypoint, hops, conn.url, conn.options))
     for rname, rtr in routers.items():
         for conn in rtr.connections:
             _check_connection(cfg, rname, conn)
@@ -225,8 +221,7 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
                     "connections",
                 )
 
-    call_graph = [((rp.service, rp.entrypoint), (rp.terminal, rp.url)) for rp in path_table]
-    _reject_cycles(call_graph)
+    _reject_cycles([((rp.service, rp.entrypoint), (rp.terminal, rp.url)) for rp in path_table])
     link_graph = _build_link_graph(path_table, routers, matched, warnings)
 
     direct, routed = set(), set()
@@ -262,11 +257,9 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
     return ValidatedTopology(
         services=services,
         routers=routers,
-        call_graph=call_graph,
         link_graph=link_graph,
         path_table=path_table,
         entities=dict(cfg.entities),
-        direct_pairs=sorted(direct),
         routed_pairs=routed_pairs,
         bridge_members=bridge_members,
         referenced_routers=referenced_routers,

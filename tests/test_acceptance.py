@@ -252,8 +252,8 @@ def test_criterion_09_runtime_contract(tmp_path):
 def test_criterion_10_determinism(fig4_topology):
     # each target's whole file set, as generate writes it, certificates included
     files = {}
-    for target, emit in (("compose", tf.emit_compose), ("k8s", tf.emit_k8s)):
-        opts = tf.GenerationOptions(scheme="https", tracing=True, seed=123, target=target)
+    for emit in (tf.emit_compose, tf.emit_k8s):
+        opts = tf.GenerationOptions(scheme="https", tracing=True, seed=123)
         first, second = (emit(tf.plan_deployment(fig4_topology, opts)[1]) for _ in range(2))
         assert first == second
         files.update(first)

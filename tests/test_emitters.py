@@ -22,7 +22,7 @@ from topoforge.errors import OptionConflictError
 
 DATA = Path(__file__).parent / "data"
 SHOP = Path(__file__).parent.parent / "topologies" / "shop_demo.yml"
-ALL_FLAGS = dict(family="v6", scheme="https", tracing=True, ioam=True, target="k8s")
+ALL_FLAGS = dict(family="v6", scheme="https", tracing=True, ioam=True)
 
 _json_keys = st.text(max_size=6)
 _json_payloads = st.dictionaries(
@@ -142,7 +142,7 @@ class TestRuntimeConfigPayload:
 
 class TestKubernetes:
     def test_manifest_set(self, fig4_topology):
-        _np, plan = _plan(fig4_topology, target="k8s")
+        _np, plan = _plan(fig4_topology)
         files = dict(tf.emit_k8s(plan))
         assert len(files) == 12  # 4 entities x (configmap, deployment, service)
         for entity in ("frontend", "r1", "db", "payment"):
@@ -150,7 +150,7 @@ class TestKubernetes:
                 assert f"manifests/{entity}-{kind}.yaml" in files
 
     def test_deployment_content(self, fig4_topology):
-        _np, plan = _plan(fig4_topology, target="k8s")
+        _np, plan = _plan(fig4_topology)
         files = dict(tf.emit_k8s(plan))
         dep = yaml.safe_load(files["manifests/frontend-deployment.yaml"])
         (container,) = dep["spec"]["template"]["spec"]["containers"]
@@ -162,7 +162,7 @@ class TestKubernetes:
         assert set(cm["data"]) == {"config.json", "timers.sh"}
 
     def test_https_pods_mount_their_tls_files(self, fig4_topology):
-        _np, plan = _plan(fig4_topology, target="k8s", scheme="https")
+        _np, plan = _plan(fig4_topology, scheme="https")
         files = dict(tf.emit_k8s(plan))
         for name in ("frontend", "db", "payment"):
             secret = yaml.safe_load(files[f"manifests/{name}-secret.yaml"])
@@ -186,7 +186,7 @@ class TestKubernetes:
         assert "manifests/r1-secret.yaml" not in files
 
     def test_router_service_headless(self, fig4_topology):
-        _np, plan = _plan(fig4_topology, target="k8s")
+        _np, plan = _plan(fig4_topology)
         svc = yaml.safe_load(dict(tf.emit_k8s(plan))["manifests/r1-service.yaml"])
         assert svc["spec"]["clusterIP"] == "None"
 
@@ -202,7 +202,7 @@ class TestKubernetes:
         assert bool(k8s.SERVICE_NAME_RE.fullmatch(name)) is valid
 
     def test_service_ports(self, fig4_topology):
-        _np, plan = _plan(fig4_topology, target="k8s")
+        _np, plan = _plan(fig4_topology)
         svc = yaml.safe_load(dict(tf.emit_k8s(plan))["manifests/db-service.yaml"])
         assert svc["spec"]["ports"] == [
             {"name": "port-10001", "port": 10001, "targetPort": 10001}
@@ -217,7 +217,7 @@ class TestTracing:
         collector = plan.container(COLLECTOR_NAME)
         assert collector.role == "collector"
         # every service shares the bridge with the collector
-        bridge_members = {e for (e, s) in np.interfaces if s == "bridge"}
+        bridge_members = {e for e, by_subnet in np.attached.items() if "bridge" in by_subnet}
         assert {"frontend", "db", "payment", COLLECTOR_NAME} <= bridge_members
 
     def test_services_get_endpoint_env(self, fig4_topology):
@@ -289,7 +289,7 @@ class TestOptionConflicts:
 
     @pytest.mark.parametrize(
         "kw",
-        [{"family": "v5"}, {"scheme": "spdy"}, {"target": "nomad"}],
+        [{"family": "v5"}, {"scheme": "spdy"}],
     )
     def test_bad_option_values(self, fig4_topology, kw):
         with pytest.raises(OptionConflictError):

@@ -28,7 +28,7 @@ def test_forward_walk_names_every_hop(fig4_topology):
     np = plan_network(fig4_topology)
     fib = build_fib(np)
     dst = np.address("db", "link_db_r1")
-    assert forward(fib, np, "frontend", dst) == ["frontend", "r1", "db"]
+    assert forward(fib, "frontend", dst) == ["frontend", "r1", "db"]
 
 
 def test_missing_route_detected(fig4_topology):
@@ -55,7 +55,7 @@ def test_no_route_raises(fig4_topology):
     np = plan_network(fig4_topology)
     fib = build_fib(np)
     with pytest.raises(ForwardingError):
-        forward(fib, np, "payment", np.address("db", "link_db_r1"))
+        forward(fib, "payment", np.address("db", "link_db_r1"))
 
 
 def test_path_through_70_routers_followed():
@@ -72,8 +72,20 @@ def test_real_loop_raises(fig4_topology):
     back = ipaddress.ip_address(np.address("frontend", "link_frontend_r1"))
     fib.tables["r1"].append((ipaddress.ip_network(f"{dst}/32"), back))
     with pytest.raises(ForwardingError, match="forwarding loop") as ei:
-        forward(fib, np, "frontend", dst)
+        forward(fib, "frontend", dst)
     assert "['frontend', 'r1', 'frontend']" in str(ei.value)
+
+
+def test_on_link_delivery_needs_the_owner_on_that_subnet(fig4_topology):
+    np = plan_network(fig4_topology)
+    fib = build_fib(np)
+    dst = np.address("db", "link_db_r1")
+    fib.tables["payment"].append((ipaddress.ip_network("10.0.4.0/22"), None))
+    assert forward(fib, "payment", dst) == ["payment", "db"]
+    # db's own on-link prefix is the /22, so a /24 is not a subnet it is on
+    fib.tables["payment"].append((ipaddress.ip_network("10.0.4.0/24"), None))
+    with pytest.raises(ForwardingError, match="not on-link at payment"):
+        forward(fib, "payment", dst)
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -43,36 +43,34 @@ def ref_bridge_members(t, order):
 
 
 def ref_allocation(t, order, extra):
-    """(subnets, interfaces, iface_names) as the scan-based allocator made them."""
+    """(subnets, attachment table) as the scan-based allocator made them."""
     pool = ipaddress.ip_network("10.0.0.0/8").subnets(new_prefix=PREFIX_V4)
     bridge = ref_bridge_members(t, order)
     bridge = bridge + [m for m in extra if m not in bridge]
     subnets, members_of = [], []
     if bridge:
-        subnets.append(Subnet(name=BRIDGE_NET, cidr=str(next(pool)), role="bridge"))
+        subnets.append(Subnet(name=BRIDGE_NET, cidr=str(next(pool))))
         members_of.append(sorted(bridge))
     for a, b in ref_routed_pairs(t):
-        subnets.append(
-            Subnet(name=link_subnet_name(a, b), cidr=str(next(pool)), role="link", link=(a, b))
-        )
+        subnets.append(Subnet(name=link_subnet_name(a, b), cidr=str(next(pool))))
         members_of.append(sorted([a, b]))
     interfaces = {}
     for sn, members in zip(subnets, members_of):
         hosts = sn.network.network_address + 2
         for i, member in enumerate(members):
             interfaces[(member, sn.name)] = str(hosts + i)
-    iface_names, counters = {}, {}
+    attached = {}
     for sn in subnets:
-        for entity, sname in interfaces:
+        for (entity, sname), addr in interfaces.items():
             if sname == sn.name:
-                iface_names[(entity, sname)] = f"eth{counters.get(entity, 0)}"
-                counters[entity] = counters.get(entity, 0) + 1
-    return subnets, interfaces, iface_names
+                by_subnet = attached.setdefault(entity, {})
+                by_subnet[sname] = (addr, f"eth{len(by_subnet)}")
+    return subnets, attached
 
 
-def ref_attachments(np, entity):
-    return [(s.name, np.interfaces[(entity, s.name)])
-            for s in np.subnets if (entity, s.name) in np.interfaces]
+def ref_attachments(subnets, attached, entity):
+    return [(s.name, attached[entity][s.name][0])
+            for s in subnets if s.name in attached.get(entity, {})]
 
 
 @pytest.mark.parametrize("tracing", [False, True], ids=["plain", "tracing"])
@@ -82,7 +80,6 @@ def test_indexes_match_scan_reference(tracing):
         t = tf.validate(cfg)
         order = list(cfg.entities)
         assert list(t.entities) == order
-        assert t.direct_pairs == ref_direct_pairs(t), seed
         assert t.routed_pairs == ref_routed_pairs(t), seed
         assert t.bridge_members == ref_bridge_members(t, order), seed
         assert t.referenced_routers == {h for rp in t.path_table for h in rp.hops[1:-1]}
@@ -91,21 +88,22 @@ def test_indexes_match_scan_reference(tracing):
         assert sorted(grouped, key=t.path_table.index) == t.path_table
         for name, eps in t.paths_by_service.items():
             for ep in t.services[name].endpoints:
-                assert [(rp.service, rp.entrypoint, rp.conn_index) for rp in eps[ep.entrypoint]] \
-                    == [(name, ep.entrypoint, ci) for ci in range(len(ep.connections))]
+                assert [(rp.service, rp.entrypoint, rp.hops[1:], rp.url, rp.options)
+                        for rp in eps[ep.entrypoint]] \
+                    == [(name, ep.entrypoint, conn.path.hops, conn.url, conn.options)
+                        for conn in ep.connections]
 
         extra = tuple(t.services) + (COLLECTOR_NAME,) if tracing else ()
         np = tf.allocate_networks(t, extra_bridge_members=extra)
-        subnets, interfaces, iface_names = ref_allocation(t, order, extra)
+        subnets, attached = ref_allocation(t, order, extra)
         assert np.subnets == subnets, seed
-        assert list(np.interfaces.items()) == list(interfaces.items()), seed
-        assert list(np.iface_names.items()) == list(iface_names.items()), seed
+        assert [(e, list(by_subnet.items())) for e, by_subnet in np.attached.items()] \
+            == [(e, list(by_subnet.items())) for e, by_subnet in attached.items()], seed
         for entity in order + [COLLECTOR_NAME]:
-            assert np.attachments(entity) == ref_attachments(np, entity), (seed, entity)
+            assert np.attachments(entity) == ref_attachments(subnets, attached, entity), \
+                (seed, entity)
         assert len({s.name for s in subnets}) == len(subnets), seed
-        for s in subnets:
-            if s.role == "link":
-                assert np.subnet_between(*s.link) == s.name
-                assert np.subnet_between(*reversed(s.link)) == s.name
+        for a, b in ref_routed_pairs(t):
+            assert np.subnet_between(a, b) == np.subnet_between(b, a) == link_subnet_name(a, b)
         for a, b in ref_direct_pairs(t):
             assert np.subnet_between(a, b) == np.subnet_between(b, a) == "bridge"

@@ -41,10 +41,14 @@ class TestAllocation:
 
     def test_iface_names_follow_subnet_order(self, fig4_topology):
         np = plan_network(fig4_topology)
-        assert np.iface_names[("frontend", "bridge")] == "eth0"
-        assert np.iface_names[("frontend", "link_frontend_r1")] == "eth1"
-        assert np.iface_names[("r1", "link_db_r1")] == "eth0"
-        assert np.iface_names[("r1", "link_frontend_r1")] == "eth1"
+        assert list(np.attached["frontend"].items()) == [
+            ("bridge", ("10.0.0.2", "eth0")),
+            ("link_frontend_r1", ("10.0.8.2", "eth1")),
+        ]
+        assert list(np.attached["r1"].items()) == [
+            ("link_db_r1", ("10.0.4.3", "eth0")),
+            ("link_frontend_r1", ("10.0.8.3", "eth1")),
+        ]
 
     def test_host_ports(self, fig4_topology):
         _np, plan = plan_deployment(fig4_topology, GenerationOptions())
@@ -81,15 +85,16 @@ class TestAllocation:
         a = plan_network(fig4_topology)
         b = plan_network(fig4_topology)
         assert a.subnets == b.subnets
-        assert a.interfaces == b.interfaces
+        assert a.attached == b.attached
         assert a.setup == b.setup
         assert a.timer_scripts == b.timer_scripts
 
     def test_all_addresses_inside_their_subnet(self, fig4_topology):
         np = plan_network(fig4_topology)
         by_name = {s.name: s for s in np.subnets}
-        for (entity, sname), addr in np.interfaces.items():
-            assert ipaddress.ip_address(addr) in by_name[sname].network
+        for by_subnet in np.attached.values():
+            for sname, (addr, _iface) in by_subnet.items():
+                assert ipaddress.ip_address(addr) in by_name[sname].network
 
 
 class TestRoutes:
@@ -316,8 +321,8 @@ class TestTimers:
             "c:\n  type: service\n  port: 9002\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
         )
         np = plan_network(make_topology(text))
-        assert np.iface_names[("a", "link_a_r0")] == "eth0"
-        assert np.iface_names[("a", "link_a_r1")] == "eth1"
+        assert np.attached["a"]["link_a_r0"][1] == "eth0"
+        assert np.attached["a"]["link_a_r1"][1] == "eth1"
         assert np.timer_scripts == {
             "a": (
                 "#!/bin/sh\n"
@@ -387,7 +392,7 @@ class TestOneNetemPerInterface:
             1,
         )
         np = plan_network(make_topology(text))
-        toward_r1 = np.iface_names[("front", np.subnet_between("front", "r1"))]
+        toward_r1 = np.attached["front"][np.subnet_between("front", "r1")][1]
         assert np.subnet_between("front", "pay") == "bridge"
         assert {name: list(by_iface) for name, by_iface in np.egress.items()} == {"front": [toward_r1]}
         assert np.egress["front"][toward_r1].rate == Rate(100, "mbit")

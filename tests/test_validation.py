@@ -42,7 +42,7 @@ def _svc_a(conn: str) -> str:
 class TestExampleTopology:
     def test_graphs(self, fig4_topology):
         t = fig4_topology
-        assert t.call_graph == [
+        assert [((rp.service, rp.entrypoint), (rp.terminal, rp.url)) for rp in t.path_table] == [
             (("frontend", "/"), ("db", "/")),
             (("frontend", "/payment"), ("payment", "/")),
         ]
@@ -54,7 +54,6 @@ class TestExampleTopology:
 
     def test_pairs_and_bridge(self, fig4_topology):
         t = fig4_topology
-        assert t.direct_pairs == [("frontend", "payment")]
         assert t.routed_pairs == [("db", "r1"), ("frontend", "r1")]
         assert t.bridge_members == ["frontend", "payment"]
         assert t.bridge_members  # the bridge subnet is needed
@@ -192,7 +191,7 @@ class TestCallGraph:
         )
         # a/ -> b/ -> a/x is a DAG (distinct endpoint nodes); must validate
         t = make_topology(text)
-        assert len(t.call_graph) == 2
+        assert len(t.path_table) == 2
 
     def test_diamond_is_acyclic(self):
         text = (
@@ -207,7 +206,7 @@ class TestCallGraph:
             "        - path: d\n          url: /\n"
             "d:\n  type: service\n  port: 8003\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
         )
-        assert len(make_topology(text).call_graph) == 4
+        assert len(make_topology(text).path_table) == 4
 
 
 class TestPortsAndOptions:

@@ -24,7 +24,7 @@ from conftest import chain_config, random_topology_text
 
 DATA = Path(__file__).parent / "data"
 SHOP = Path(__file__).parent.parent / "topologies" / "shop_demo.yml"
-ALL_FLAGS = dict(family="v6", scheme="https", tracing=True, ioam=True, target="k8s")
+ALL_FLAGS = dict(family="v6", scheme="https", tracing=True, ioam=True)
 
 
 class _PureLoader(yaml.SafeLoader):
