@@ -133,7 +133,8 @@ def emit_k8s(plan: DeploymentPlan) -> list[tuple[str, str]]:
             )
     docs = []
     for c in plan.containers:
-        docs.append((f"{c.name}-configmap.yaml", _configmap(c)))
+        if c.role != "collector":  # the one pod that mounts no ConfigMap
+            docs.append((f"{c.name}-configmap.yaml", _configmap(c)))
         if c.tls_files:
             docs.append((f"{c.name}-secret.yaml", _secret(c, plan.materials)))
         docs.append((f"{c.name}-deployment.yaml", _deployment(c)))

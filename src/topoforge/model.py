@@ -50,6 +50,15 @@ def format_percent(x: float) -> str:
     return f"{format_number(x)}%"
 
 
+def to_float(value: int | float, entity=None, fieldname=None) -> float:
+    """A document number as a float: an int too large for a float is a
+    SchemaError, where ``float`` would raise OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError("number too large for a float", entity, fieldname) from None
+
+
 _RATE_RE = re.compile(rf"\s*(\d+(?:\.\d+)?)\s*({'|'.join(_RATE_BITS)})\s*")
 
 
@@ -75,7 +84,7 @@ def parse_duration_us(value, *, entity=None, fieldname=None) -> float:
     if isinstance(value, bool):
         raise SchemaError(f"expected a duration, got {value!r}", entity, fieldname)
     if isinstance(value, (int, float)):
-        return float(value)
+        return to_float(value, entity, fieldname)
     if isinstance(value, str):
         m = re.fullmatch(r"\s*(\d+(?:\.\d+)?)\s*(us|ms|s)?\s*", value)
         if m and m.group(1):
@@ -89,7 +98,7 @@ def parse_percent(value, *, entity=None, fieldname=None) -> float:
     if isinstance(value, bool):
         raise SchemaError(f"expected a percentage, got {value!r}", entity, fieldname)
     if isinstance(value, (int, float)):
-        return float(value)
+        return to_float(value, entity, fieldname)
     if isinstance(value, str):
         m = re.fullmatch(r"\s*(\d+(?:\.\d+)?)\s*%?\s*", value)
         if m:

@@ -8,6 +8,7 @@ errors; numeric fields are never coerced from strings.
 from __future__ import annotations
 
 import functools
+import math
 
 import yaml
 
@@ -26,6 +27,7 @@ from .model import (
     TopologyConfig,
     parse_path,
     parse_strict_int,
+    to_float,
 )
 
 _SERVICE_KEYS = {"type", "port", "endpoints"}
@@ -211,18 +213,17 @@ def _parse_timer(entity: str, body) -> TimerSpec:
     for key in ("start", "duration", "newValue"):
         if key not in body:
             raise SchemaError(f"timer is missing '{key}'", entity, key)
-    start = body["start"]
-    duration = body["duration"]
-    for key, value in (("start", start), ("duration", duration)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+    for key in ("start", "duration"):
+        if isinstance(body[key], bool) or not isinstance(body[key], (int, float)):
             raise SchemaError(f"timer {key} must be a number", entity, key)
-    if start < 0:
-        raise SchemaError("timer start must be >= 0", entity, "start")
-    if duration <= 0:
-        raise SchemaError("timer duration must be > 0", entity, "duration")
+    start, duration = (to_float(body[key], entity, key) for key in ("start", "duration"))
+    if not 0 <= start < math.inf:
+        raise SchemaError("timer start must be finite and >= 0", entity, "start")
+    if not 0 < duration < math.inf:
+        raise SchemaError("timer duration must be finite and > 0", entity, "duration")
     parse, _fmt = OPTION_KINDS[option]
     new_value = parse(body["newValue"], entity=entity, fieldname="newValue")
-    return TimerSpec(option=option, start=float(start), duration=float(duration), new_value=new_value)
+    return TimerSpec(option=option, start=start, duration=duration, new_value=new_value)
 
 
 # --- serialization -----------------------------------------------------------

@@ -8,6 +8,7 @@ and runs capacity checks for the chosen address family.
 from __future__ import annotations
 
 import graphlib
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -147,12 +148,12 @@ def _check_impairments(entity: str, opt: ImpairmentSpec):
         raise OptionRangeError(f"mtu {opt.mtu} outside [68, 65535]", entity, "mtu")
     if opt.buffer_size is not None and opt.buffer_size < 1:
         raise OptionRangeError(f"buffer_size must be >= 1", entity, "buffer_size")
-    if opt.rate is not None and opt.rate.value <= 0:
-        raise OptionRangeError("rate must be > 0", entity, "rate")
+    if opt.rate is not None and not 0 < opt.rate.value < math.inf:
+        raise OptionRangeError("rate must be finite and > 0", entity, "rate")
     for key in ("delay", "jitter"):
         value = getattr(opt, key)
-        if value is not None and value < 0:
-            raise OptionRangeError(f"{key} must be >= 0", entity, key)
+        if value is not None and not 0 <= value < math.inf:
+            raise OptionRangeError(f"{key} must be finite and >= 0", entity, key)
     for key in PERCENT_OPTIONS:
         value = getattr(opt, key)
         if value is not None and not (0 <= value <= 100):

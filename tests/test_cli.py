@@ -149,6 +149,13 @@ def test_ioam_needs_v6(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_target_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["generate", FIG4, "--target", "nomad", "--output", str(out)]) == 2
+    assert "argument --target: invalid choice: 'nomad'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "absent.yml")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -236,3 +243,46 @@ def test_sample_topology_simulates(sample, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["completed"] > 0
     assert report["failed"] == 0
+
+
+_HUGE = "9" * 400  # beyond the float range: its float() is inf, or OverflowError for an int
+
+
+def _timer(option: str, start: str, duration: str) -> str:
+    return (
+        f"\n          timers:\n            - option: {option}\n              start: {start}\n"
+        f"              duration: {duration}\n              newValue: 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "options, field",
+    [
+        ("delay: .inf", "delay"),
+        ("delay: .nan", "delay"),
+        (f"delay: {_HUGE}", "delay"),
+        ("delay: 1ms\n          jitter: .inf", "jitter"),
+        ("delay: 1ms\n          jitter: .nan", "jitter"),
+        (f"rate: {_HUGE}mbit", "rate"),
+        (f"loss: {_HUGE}", "loss"),
+        ("delay: 1ms" + _timer("delay", ".nan", "5"), "start"),
+        ("delay: 1ms" + _timer("delay", "1", ".inf"), "duration"),
+        ("delay: 1ms" + _timer("delay", _HUGE, "5"), "start"),
+    ],
+    ids=["delay-inf", "delay-nan", "delay-huge", "jitter-inf", "jitter-nan", "rate-huge",
+         "loss-huge", "timer-start-nan", "timer-duration-inf", "timer-start-huge"],
+)
+@pytest.mark.parametrize("command", ["validate", "inspect", "simulate", "generate"])
+def test_non_finite_numbers_rejected(options, field, command, tmp_path, capsys):
+    config = tmp_path / "topo.yml"
+    config.write_text(
+        "a:\n  type: service\n  port: 9000\n  endpoints:\n"
+        "    - entrypoint: /\n      psize: 128\n      connections:\n"
+        f"        - path: b\n          url: /\n          {options}\n"
+        "b:\n  type: service\n  port: 9001\n  endpoints:\n    - entrypoint: /\n      psize: 128\n"
+    )
+    out = tmp_path / "out"
+    argv = [command, str(config)] + (["--output", str(out)] if command == "generate" else [])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: entity 'a', field '{field}': ")
+    assert not out.exists()

@@ -185,6 +185,22 @@ class TestKubernetes:
             assert mounted[tls["ca"]].encode() == plan.materials["certs/ca.crt"]
         assert "manifests/r1-secret.yaml" not in files
 
+    @pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
+    @pytest.mark.parametrize("kw", [{}, {"tracing": True}, ALL_FLAGS], ids=["plain", "tracing", "all-flags"])
+    def test_every_configmap_is_mounted(self, path, kw):
+        topology = tf.validate(tf.parse_config(path.read_text()), family=kw.get("family", "v4"))
+        _np, plan = _plan(topology, **kw)
+        docs = [yaml.safe_load(text) for _rel, text in tf.emit_k8s(plan)]
+        configmaps = {d["metadata"]["name"] for d in docs if d["kind"] == "ConfigMap"}
+        mounted = {
+            source["configMap"]["name"]
+            for d in docs if d["kind"] == "Deployment"
+            for volume in d["spec"]["template"]["spec"].get("volumes", [])
+            for source in volume["projected"]["sources"] if "configMap" in source
+        }
+        assert configmaps
+        assert configmaps == mounted
+
     def test_router_service_headless(self, fig4_topology):
         _np, plan = _plan(fig4_topology)
         svc = yaml.safe_load(dict(tf.emit_k8s(plan))["manifests/r1-service.yaml"])
