@@ -171,7 +171,7 @@ def _ioam_commands(np: NetPlan, name: str) -> list[str]:
     # enablement hooks only; actual in-band telemetry is outside this tool
     return [
         f"sysctl -w net.ipv6.conf.{iface}.ioam6_enabled=1"
-        for _addr, iface in np.attached.get(name, {}).values()
+        for _addr, iface in np.attached[name].values()
     ]
 
 

@@ -336,10 +336,9 @@ def _egress_options(t: ValidatedTopology, np: NetPlan) -> dict[str, dict[str, Im
 
 def _iface_toward(np: NetPlan, name: str, first_hop: str) -> str | None:
     subnet = np.subnet_between(name, first_hop)
-    own = np.attached.get(name, {}).get(subnet)
-    if own is None or subnet not in np.attached.get(first_hop, {}):
+    if subnet not in np.attached[first_hop]:
         return None
-    return own[1]
+    return np.attached[name][subnet][1]
 
 
 def plan_timer_scripts(t: ValidatedTopology, np: NetPlan) -> NetPlan:
