@@ -130,7 +130,7 @@ def cmd_validate(args) -> int:
 
 def cmd_inspect(args) -> int:
     topo = _load(args)
-    from .netplan import plan_network
+    from .netplan import plan_network, setup_commands
 
     np = plan_network(topo, family=args.family, base=args.base_v6 if args.family == "v6" else args.base_v4)
     print("call graph:")
@@ -150,10 +150,11 @@ def cmd_inspect(args) -> int:
     for svc, spec in topo.services.items():
         print(f"  {svc:<16} {spec.port}")
     print("setup commands:")
-    for entity, cmds in np.setup.items():
-        print(f"  {entity}:")
-        for cmd in cmds:
-            print(f"    {cmd}")
+    for entity in topo.entities:
+        if cmds := setup_commands(topo, np, entity):
+            print(f"  {entity}:")
+            for cmd in cmds:
+                print(f"    {cmd}")
     print("timer scripts:")
     for entity, script in np.timer_scripts.items():
         print(f"  {entity}:")

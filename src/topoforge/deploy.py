@@ -10,7 +10,14 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import OptionConflictError
-from .netplan import BRIDGE_NET, NetPlan, endpoint_addresses, plan_network
+from .netplan import (
+    BRIDGE_NET,
+    NetPlan,
+    endpoint_addresses,
+    ioam_commands,
+    plan_network,
+    setup_commands,
+)
 from .validation import ValidatedTopology
 
 DEFAULT_SERVICE_IMAGE = "topoforge/service:latest"
@@ -167,14 +174,6 @@ def _runtime_config(t: ValidatedTopology, np: NetPlan, name: str, opts: Generati
     return cfg
 
 
-def _ioam_commands(np: NetPlan, name: str) -> list[str]:
-    # enablement hooks only; actual in-band telemetry is outside this tool
-    return [
-        f"sysctl -w net.ipv6.conf.{iface}.ioam6_enabled=1"
-        for _addr, iface in np.attached[name].values()
-    ]
-
-
 def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> DeploymentPlan:
     """One container per entity, plus an optional tracing collector."""
     if opts.tracing and COLLECTOR_NAME in t.entities:
@@ -193,9 +192,7 @@ def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> De
     containers: list[ContainerSpec] = []
     for name in t.entities:
         role = "service" if name in t.services else "router"
-        setup = list(np.setup.get(name, []))
-        if opts.ioam:
-            setup.extend(_ioam_commands(np, name))
+        setup = setup_commands(t, np, name) + (ioam_commands(np, name) if opts.ioam else [])
         spec = ContainerSpec(
             name=name,
             role=role,

@@ -1,19 +1,16 @@
-"""Longest-prefix-match forwarding over the emitted route commands.
+"""Longest-prefix-match forwarding over the planned routes.
 
-Builds a model FIB per entity by parsing the ``ip route add`` commands and
-subnet attachments out of a NetPlan, then walks packets hop by hop.  Used to
-check that every declared path is followed exactly, forward and reverse.
+Builds a model FIB per entity from a NetPlan's routes and attachments, then
+walks packets hop by hop.  Used to check that every declared path is followed
+exactly, forward and reverse.
 """
 
 from __future__ import annotations
 
 import ipaddress
-import re
 from dataclasses import dataclass, field
 
 from .netplan import NetPlan, endpoint_addresses
-
-_ROUTE_RE = re.compile(r"^ip (?:-6 )?route add (\S+) via (\S+)$")
 
 
 @dataclass
@@ -40,14 +37,11 @@ def build_fib(np: NetPlan) -> Fib:
         for subnet_name, (addr, _iface) in by_subnet.items():
             addr_owner[addr] = entity
             tables.setdefault(entity, []).append((networks[subnet_name], None))
-    for entity, cmds in np.setup.items():
-        for cmd in cmds:
-            m = _ROUTE_RE.match(cmd)
-            if not m:
-                continue
-            prefix = ipaddress.ip_network(m.group(1))
-            via = ipaddress.ip_address(m.group(2))
-            tables.setdefault(entity, []).append((prefix, via))
+    for entity, routes in np.routes.items():
+        table = tables.setdefault(entity, [])
+        for dst, via in routes.items():
+            # a bare address is a host network: /32 or /128
+            table.append((ipaddress.ip_network(dst), ipaddress.ip_address(via)))
     return Fib(tables=tables, addr_owner=addr_owner)
 
 

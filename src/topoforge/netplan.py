@@ -1,8 +1,9 @@
 """Deterministic network planning.
 
-Allocates subnets and addresses, plans static routes so traffic follows the
-declared hop sequences (and replies retrace them), and renders per-container
-setup command sequences plus timer scripts in the ``ip``/``tc`` dialect.
+Allocates subnets and addresses, and plans as data the static host routes
+that make traffic follow the declared hop sequences (and replies retrace them)
+and each interface's egress options.  This module alone renders that data as
+``ip``/``tc``/``sysctl`` commands: setup commands and timer scripts.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class NetPlan:
     # entity -> subnet name -> (address, in-container interface name), in
     # subnet order; filled by allocate_networks
     attached: dict[str, dict[str, tuple[str, str]]] = field(default_factory=dict)
-    setup: dict[str, list[str]] = field(default_factory=dict)
+    # entity -> destination -> gateway, one host route each; filled by plan_routes
+    routes: dict[str, dict[str, str]] = field(default_factory=dict)
     timer_scripts: dict[str, str] = field(default_factory=dict)
     # entity -> interface -> the options on its egress, for interfaces that
     # have any; filled by plan_routes
@@ -245,9 +247,6 @@ def render_timer_script(by_iface: dict[str, ImpairmentSpec]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- route planning ----------------------------------------------------------
-
-
 def _route_cmd(family: str, dst: str, via: str) -> str:
     if family == "v4":
         return f"ip route add {dst}/32 via {via}"
@@ -260,35 +259,42 @@ def _forward_cmd(family: str) -> str:
     return "sysctl -w net.ipv6.conf.all.forwarding=1"
 
 
+def setup_commands(t: ValidatedTopology, np: NetPlan, name: str) -> list[str]:
+    """One entity's setup commands: forwarding on a router that a path
+    crosses, then each shaped interface's MTU and netem, then its routes."""
+    cmds = [_forward_cmd(np.family)] if name in t.referenced_routers else []
+    for iface, opt in np.egress.get(name, {}).items():
+        cmds.extend(render_impairments(opt, iface))
+    cmds.extend(_route_cmd(np.family, dst, via) for dst, via in np.routes.get(name, {}).items())
+    return cmds
+
+
+def ioam_commands(np: NetPlan, name: str) -> list[str]:
+    # enablement hooks only; actual in-band telemetry is outside this tool
+    return [
+        f"sysctl -w net.ipv6.conf.{iface}.ioam6_enabled=1"
+        for _addr, iface in np.attached[name].values()
+    ]
+
+
+# --- route planning ----------------------------------------------------------
+
+
 def plan_routes(t: ValidatedTopology, np: NetPlan) -> NetPlan:
-    """Add per-entity setup commands: forwarding, impairments, static routes.
+    """Plan each entity's egress options and static host routes.
 
     For each resolved path the source gets a host route to the destination
     via the first router; each router forwards toward the destination via
     its next hop; reverse routes mirror the path so replies retrace it.
     """
-    setup: dict[str, list[str]] = {name: [] for name in t.entities}
-    for rname in t.routers:
-        if rname in t.referenced_routers:
-            setup[rname].append(_forward_cmd(np.family))
-
-    # impairments: one MTU and one netem per interface, in the declaring
-    # entity's declaration order
+    # one MTU and one netem per interface, in declaration order
     np.egress = _egress_options(t, np)
-    for name, by_iface in np.egress.items():
-        for iface, opt in by_iface.items():
-            setup[name].extend(render_impairments(opt, iface))
-
-    # (entity, destination address) -> gateway; a second gateway for the same
-    # destination cannot be realized with destination-based routing
-    gateway_for: dict[tuple[str, str], str] = {}
+    np.routes = {}
 
     def add(entity: str, dst: str, via: str):
-        prev = gateway_for.get((entity, dst))
-        if prev is None:
-            gateway_for[(entity, dst)] = via
-            setup[entity].append(_route_cmd(np.family, dst, via))
-        elif prev != via:
+        # destination-based routing holds one gateway per destination
+        prev = np.routes.setdefault(entity, {}).setdefault(dst, via)
+        if prev != via:
             raise ConflictingRouteError(
                 f"needs routes to {dst} via both {prev} and {via}", entity, "path"
             )
@@ -305,7 +311,6 @@ def plan_routes(t: ValidatedTopology, np: NetPlan) -> NetPlan:
         for i in range(len(hops) - 1, 1, -1):
             add(hops[i], src_ip, np.address(hops[i - 1], np.subnet_between(hops[i - 1], hops[i])))
 
-    np.setup = {name: cmds for name, cmds in setup.items() if cmds}
     return np
 
 

@@ -146,8 +146,9 @@ class ValidatedTopology:
 def _check_impairments(entity: str, opt: ImpairmentSpec):
     if opt.mtu is not None and not (68 <= opt.mtu <= 65_535):
         raise OptionRangeError(f"mtu {opt.mtu} outside [68, 65535]", entity, "mtu")
-    if opt.buffer_size is not None and opt.buffer_size < 1:
-        raise OptionRangeError(f"buffer_size must be >= 1", entity, "buffer_size")
+    # netem's limit is a __u32 (struct tc_netem_qopt)
+    if opt.buffer_size is not None and not 1 <= opt.buffer_size <= 4_294_967_295:
+        raise OptionRangeError("buffer_size outside [1, 4294967295]", entity, "buffer_size")
     if opt.rate is not None and not 0 < opt.rate.value < math.inf:
         raise OptionRangeError("rate must be finite and > 0", entity, "rate")
     for key in ("delay", "jitter"):

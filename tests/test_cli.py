@@ -1,11 +1,15 @@
 """The command-line entry point: files written, exit statuses."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import topoforge
 from topoforge import cli
 
 from conftest import colliding_links_config, loss_chain_config
@@ -40,6 +44,34 @@ def test_generate_compose(tmp_path, capsys):
     assert config["name"] == "frontend"
     assert (out / "timers/frontend.sh").read_text().startswith("#!/bin/sh\n")
     assert f"wrote {out / 'compose.yml'}" in capsys.readouterr().out
+
+
+def test_generate_compose_v6_ioam_tracing(tmp_path):
+    out = tmp_path / "out"
+    argv = ["generate", FIG4, "--ipv6", "--ioam", "--tracing", "--output", str(out)]
+    assert cli.main(argv) == 0
+    golden = (DATA / "compose_fig4_v6_ioam_tracing.yml").read_text()
+    assert (out / "compose.yml").read_text() == golden
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_generate_independent_of_hash_seed(tmp_path):
+    src = str(Path(topoforge.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("TOPOFORGE_")}
+    trees = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        subprocess.run(
+            [sys.executable, "-m", "topoforge.cli", "generate", FIG4, "--target", "k8s",
+             "--ipv6", "--https", "--ioam", "--tracing", "--seed", "3", "--output", str(out)],
+            capture_output=True, check=True, timeout=60,
+            env={**env, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+        )
+        trees.append(_tree(out))
+    assert trees[0] and trees[0] == trees[1]
 
 
 def test_image_environment_variables(tmp_path, monkeypatch):

@@ -1,15 +1,35 @@
-"""Model-FIB forwarding over the emitted routes."""
+"""Model-FIB forwarding over the planned routes, and their rendering."""
 
 import ipaddress
 import random
+import re
 
 import pytest
 
 import topoforge as tf
 from topoforge.fib import ForwardingError, build_fib, check_path_fidelity, forward
-from topoforge.netplan import plan_network
+from topoforge.netplan import plan_network, setup_commands
 
 from conftest import depth_config, make_topology, random_topology_text
+
+_ROUTE_LINE = re.compile(r"^ip (-6 )?route add (\S+)/(\d+) via (\S+)$")
+
+
+def assert_routes_render_back(t, np):
+    """Every entity's rendered route lines parse back to exactly its planned
+    routes, in order, as host routes of the plan's family."""
+    v4 = np.family == "v4"
+    assert set(np.routes) <= set(t.entities)
+    for name in t.entities:
+        parsed = []
+        for line in setup_commands(t, np, name):
+            if not line.startswith(("ip route", "ip -6 route")):
+                continue
+            m = _ROUTE_LINE.match(line)
+            assert m, line
+            assert (m[1] is None) == v4 and m[3] == ("32" if v4 else "128"), line
+            parsed.append((m[2], m[4]))
+        assert parsed == list(np.routes.get(name, {}).items()), name
 
 
 def test_fig4_paths_followed_exactly(fig4_topology):
@@ -24,6 +44,13 @@ def test_fig4_v6_paths(fig4_topology):
     assert result.ok, result.failures
 
 
+@pytest.mark.parametrize("family", ["v4", "v6"])
+def test_fig4_route_lines_read_back(fig4_topology, family):
+    np = plan_network(fig4_topology, family=family)
+    assert np.routes["frontend"] and np.routes["db"]
+    assert_routes_render_back(fig4_topology, np)
+
+
 def test_forward_walk_names_every_hop(fig4_topology):
     np = plan_network(fig4_topology)
     fib = build_fib(np)
@@ -33,9 +60,7 @@ def test_forward_walk_names_every_hop(fig4_topology):
 
 def test_missing_route_detected(fig4_topology):
     np = plan_network(fig4_topology)
-    np.setup["frontend"] = [
-        c for c in np.setup["frontend"] if not c.startswith("ip route")
-    ]
+    del np.routes["frontend"]
     result = check_path_fidelity(fig4_topology, np)
     assert not result.ok
 
@@ -43,10 +68,10 @@ def test_missing_route_detected(fig4_topology):
 def test_wrong_gateway_detected(fig4_topology):
     np = plan_network(fig4_topology)
     # point frontend's route at payment's bridge address instead of r1
-    np.setup["frontend"] = [
-        c.replace("via 10.0.8.3", "via 10.0.0.3") if c.startswith("ip route") else c
-        for c in np.setup["frontend"]
-    ]
+    assert "10.0.8.3" in np.routes["frontend"].values()
+    np.routes["frontend"] = {
+        dst: "10.0.0.3" if via == "10.0.8.3" else via for dst, via in np.routes["frontend"].items()
+    }
     result = check_path_fidelity(fig4_topology, np)
     assert not result.ok
 
@@ -95,3 +120,4 @@ def test_random_topologies_have_path_fidelity(seed):
     np = plan_network(topo)
     result = check_path_fidelity(topo, np)
     assert result.ok, result.failures
+    assert_routes_render_back(topo, np)

@@ -15,10 +15,16 @@ from topoforge.netplan import (
     plan_network,
     render_impairments,
     render_timer_script,
+    setup_commands,
     timer_window,
 )
 
 from conftest import delay_chain_config, make_topology, shared_first_hop_config
+
+
+def _setup(t, np) -> dict[str, list[str]]:
+    """Every entity's rendered setup commands."""
+    return {name: setup_commands(t, np, name) for name in t.entities}
 
 
 class TestAllocation:
@@ -86,7 +92,9 @@ class TestAllocation:
         b = plan_network(fig4_topology)
         assert a.subnets == b.subnets
         assert a.attached == b.attached
-        assert a.setup == b.setup
+        assert a.routes == b.routes
+        assert a.egress == b.egress
+        assert _setup(fig4_topology, a) == _setup(fig4_topology, b)
         assert a.timer_scripts == b.timer_scripts
 
     def test_all_addresses_inside_their_subnet(self, fig4_topology):
@@ -100,13 +108,15 @@ class TestAllocation:
 class TestRoutes:
     def test_fig4_setup(self, fig4_topology):
         np = plan_network(fig4_topology)
-        assert np.setup["frontend"] == [
+        assert np.routes == {"frontend": {"10.0.4.2": "10.0.8.3"}, "db": {"10.0.8.2": "10.0.4.3"}}
+        setup = _setup(fig4_topology, np)
+        assert setup["frontend"] == [
             "tc qdisc add dev eth1 root netem rate 100mbit",
             "ip route add 10.0.4.2/32 via 10.0.8.3",
         ]
-        assert np.setup["db"] == ["ip route add 10.0.8.2/32 via 10.0.4.3"]
-        assert np.setup["r1"] == ["sysctl -w net.ipv4.ip_forward=1"]
-        assert "payment" not in np.setup  # direct connection: on-link, nothing to add
+        assert setup["db"] == ["ip route add 10.0.8.2/32 via 10.0.4.3"]
+        assert setup["r1"] == ["sysctl -w net.ipv4.ip_forward=1"]
+        assert setup["payment"] == []  # direct connection: on-link, nothing to add
 
     def test_three_router_chain_routes(self):
         text = (
@@ -118,10 +128,10 @@ class TestRoutes:
             "r3:\n  type: router\n  connections:\n    - path: b\n"
             "b:\n  type: service\n  port: 9001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
         )
-        np = plan_network(make_topology(text))
+        topo = make_topology(text)
         routes = {
             name: [c for c in cmds if c.startswith("ip route")]
-            for name, cmds in np.setup.items()
+            for name, cmds in _setup(topo, plan_network(topo)).items()
         }
         assert len(routes["a"]) == 1  # forward toward b
         assert len(routes["b"]) == 1  # reverse toward a
@@ -132,12 +142,12 @@ class TestRoutes:
         assert len(routes["r3"]) == 1
 
     def test_v6_route_dialect(self, fig4_topology):
-        np = plan_network(fig4_topology, family="v6")
+        setup = _setup(fig4_topology, plan_network(fig4_topology, family="v6"))
         assert any(
             re.match(r"^ip -6 route add \S+/128 via \S+$", c)
-            for c in np.setup["frontend"]
+            for c in setup["frontend"]
         )
-        assert np.setup["r1"] == ["sysctl -w net.ipv6.conf.all.forwarding=1"]
+        assert setup["r1"] == ["sysctl -w net.ipv6.conf.all.forwarding=1"]
 
 
 class TestCommandRendering:
@@ -293,8 +303,9 @@ class TestTimers:
             "r:\n  type: router\n  connections:\n    - path: b\n"
             "b:\n  type: service\n  port: 9001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
         )
-        np = plan_network(make_topology(text))
-        assert "tc qdisc add dev eth0 root netem loss 1%" in np.setup["a"]
+        topo = make_topology(text)
+        np = plan_network(topo)
+        assert "tc qdisc add dev eth0 root netem loss 1%" in setup_commands(topo, np, "a")
         assert np.timer_scripts == {
             "a": (
                 "#!/bin/sh\n"
@@ -358,20 +369,23 @@ class TestRouteConflicts:
 
 class TestDelayChain:
     def test_both_links_shaped(self):
-        np = plan_network(make_topology(delay_chain_config(500)))
-        assert "tc qdisc add dev eth0 root netem delay 500us" in np.setup["a"]
-        assert any("netem delay 500us" in c for c in np.setup["r"])
+        topo = make_topology(delay_chain_config(500))
+        setup = _setup(topo, plan_network(topo))
+        assert "tc qdisc add dev eth0 root netem delay 500us" in setup["a"]
+        assert any("netem delay 500us" in c for c in setup["r"])
 
 
 class TestOneNetemPerInterface:
     def test_connections_through_one_first_hop_share_one_netem(self):
-        np = plan_network(make_topology(shared_first_hop_config()))
-        for name, cmds in np.setup.items():
+        topo = make_topology(shared_first_hop_config())
+        np = plan_network(topo)
+        setup = _setup(topo, np)
+        for name, cmds in setup.items():
             roots = [c.split()[4] for c in cmds if c.startswith("tc qdisc add dev ")]
             assert len(roots) == len(set(roots)), (name, cmds)
         # the first declaration of each option and of the timer list wins,
         # as on the simulator's link
-        assert "tc qdisc add dev eth0 root netem rate 100mbit" in np.setup["front"]
+        assert "tc qdisc add dev eth0 root netem rate 100mbit" in setup["front"]
         assert np.timer_scripts["front"] == (
             "#!/bin/sh\n"
             "# scheduled impairment overrides\n"

@@ -230,7 +230,10 @@ class TestPortsAndOptions:
 
     @pytest.mark.parametrize(
         "opt",
-        ["loss: 150%", "corrupt: 101", "mtu: 40", "mtu: 70000", "buffer_size: 0"],
+        [
+            "loss: 150%", "corrupt: 101", "mtu: 40", "mtu: 70000", "buffer_size: 0",
+            "buffer_size: 4294967296",
+        ],
     )
     def test_option_out_of_range(self, opt):
         text = _svc_a(f"        - path: b\n          url: /\n          {opt}\n") + _LEAF
@@ -246,6 +249,19 @@ class TestPortsAndOptions:
         make_topology(
             _svc_a(f"        - path: b\n          url: /\n          delay: 1ms\n          {opt}\n") + _LEAF
         )
+
+    def test_buffer_size_upper_bound(self):
+        # netem's limit is 32 bits wide: its largest value validates, a timer
+        # new value past it does not
+        conn = "        - path: b\n          url: /\n          buffer_size: 4294967295\n"
+        make_topology(_svc_a(conn) + _LEAF)
+        timer = (
+            "          timers:\n            - option: buffer_size\n              start: 1\n"
+            "              duration: 2\n              newValue: 4294967296\n"
+        )
+        with pytest.raises(OptionRangeError, match="buffer_size outside") as ei:
+            make_topology(_svc_a(conn + timer) + _LEAF)
+        assert (ei.value.entity, ei.value.field) == ("a", "buffer_size")
 
     def test_timer_without_base_value(self):
         text = _svc_a(
