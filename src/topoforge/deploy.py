@@ -33,7 +33,8 @@ CONFIG_FILE = "config.json"
 TIMER_FILE = "timers.sh"
 CONFIG_MOUNT = f"{MOUNT_DIR}/{CONFIG_FILE}"
 TIMER_MOUNT = f"{MOUNT_DIR}/{TIMER_FILE}"
-CA_MATERIAL = "certs/ca.crt"  # a material key is its path in the output and under MOUNT_DIR
+CA_NAME = "ca"  # the authority's file name, which no service may take under HTTPS
+CA_MATERIAL = f"certs/{CA_NAME}.crt"  # a material key is its path in the output and under MOUNT_DIR
 
 SERVICE_COMMAND = f"topoforge-service --config {CONFIG_MOUNT}"
 ROUTER_COMMAND = "sleep infinity"
@@ -179,6 +180,11 @@ def build_plan(t: ValidatedTopology, np: NetPlan, opts: GenerationOptions) -> De
     if opts.tracing and COLLECTOR_NAME in t.entities:
         raise OptionConflictError(
             f"tracing reserves the container name '{COLLECTOR_NAME}'"
+        )
+
+    if opts.scheme == "https" and CA_NAME in t.services:
+        raise OptionConflictError(
+            f"https reserves the service name '{CA_NAME}' for the certificate authority"
         )
 
     materials: dict[str, bytes] = {}

@@ -7,13 +7,10 @@ errors; numeric fields are never coerced from strings.
 
 from __future__ import annotations
 
-import functools
 import math
 
-import yaml
-
 from . import yamlio
-from .errors import ConfigSyntaxError, PathSyntaxError, SchemaError
+from .errors import PathSyntaxError, SchemaError
 from .model import (
     NAME_RE,
     OPTION_KINDS,
@@ -39,40 +36,9 @@ _ROUTER_CONN_KEYS = {"path"} | _OPTION_KEYS
 _TIMER_KEYS = {"option", "start", "duration", "newValue"}
 
 
-def _construct_mapping(loader, node, deep=False):
-    mapping = {}
-    for key_node, value_node in node.value:
-        key = loader.construct_object(key_node, deep=deep)
-        if key in mapping:
-            raise ConfigSyntaxError(
-                f"duplicate key {key!r}", line=key_node.start_mark.line + 1
-            )
-        mapping[key] = loader.construct_object(value_node, deep=deep)
-    return mapping
-
-
-@functools.cache
-def _strict_loader(base: type) -> type:
-    """``base`` loader that rejects duplicate mapping keys with a line number."""
-    loader = type("_StrictLoader", (base,), {})
-    loader.add_constructor(
-        yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
-    )
-    return loader
-
-
 def parse_config(text: str) -> TopologyConfig:
     """Parse a configuration document into a :class:`TopologyConfig`."""
-    try:
-        doc = yaml.load(text, Loader=_strict_loader(yamlio.Loader))
-    except ConfigSyntaxError:
-        raise
-    except yaml.YAMLError as exc:
-        line = None
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            line = mark.line + 1
-        raise ConfigSyntaxError(str(exc), line=line) from exc
+    doc = yamlio.load(text)
     if not isinstance(doc, dict) or not doc:
         raise SchemaError("document must be a non-empty mapping of entities")
 
@@ -88,9 +54,15 @@ def parse_config(text: str) -> TopologyConfig:
     return TopologyConfig(entities=entities)
 
 
-def _require_mapping(value, entity, what):
+def _mapping(value, entity: str, what: str, allowed: set) -> dict:
+    """``value`` as the ``what`` mapping, whose keys must all be in ``allowed``."""
     if not isinstance(value, dict):
         raise SchemaError(f"{what} must be a mapping, got {type(value).__name__}", entity)
+    unknown = set(value) - allowed
+    if unknown:
+        raise SchemaError(
+            f"unknown key(s) in {what}: {', '.join(sorted(map(str, unknown)))}", entity
+        )
     return value
 
 
@@ -102,28 +74,20 @@ def _optional_list(body: dict, key: str, entity: str) -> list:
     return value or []
 
 
-def _check_keys(body: dict, allowed: set, entity: str, what: str):
-    unknown = set(body) - allowed
-    if unknown:
-        raise SchemaError(
-            f"unknown key(s) in {what}: {', '.join(sorted(map(str, unknown)))}", entity
-        )
-
-
 def _parse_entity(name: str, body) -> ServiceSpec | RouterSpec:
-    _require_mapping(body, name, "entity body")
+    if not isinstance(body, dict):
+        raise SchemaError(f"entity body must be a mapping, got {type(body).__name__}", name)
     kind = body.get("type")
     if kind == "service":
-        return _parse_service(name, body)
+        return _parse_service(name, _mapping(body, name, "service", _SERVICE_KEYS))
     if kind == "router":
-        return _parse_router(name, body)
+        return _parse_router(name, _mapping(body, name, "router", _ROUTER_KEYS))
     raise SchemaError(
         f"type must be 'service' or 'router', got {kind!r}", name, "type"
     )
 
 
 def _parse_service(name: str, body: dict) -> ServiceSpec:
-    _check_keys(body, _SERVICE_KEYS, name, "service")
     if "port" not in body:
         raise SchemaError("missing required field", name, "port")
     port = parse_strict_int(body["port"], entity=name, fieldname="port")
@@ -142,8 +106,7 @@ def _parse_service(name: str, body: dict) -> ServiceSpec:
 
 
 def _parse_endpoint(entity: str, body) -> EndpointSpec:
-    _require_mapping(body, entity, "endpoint")
-    _check_keys(body, _ENDPOINT_KEYS, entity, "endpoint")
+    _mapping(body, entity, "endpoint", _ENDPOINT_KEYS)
     entrypoint = body.get("entrypoint")
     if not isinstance(entrypoint, str) or not entrypoint.startswith("/"):
         raise SchemaError(
@@ -162,16 +125,13 @@ def _parse_endpoint(entity: str, body) -> EndpointSpec:
 
 
 def _parse_router(name: str, body: dict) -> RouterSpec:
-    _check_keys(body, _ROUTER_KEYS, name, "router")
     conns = _optional_list(body, "connections", name)
     connections = tuple(_parse_connection(name, c, service_side=False) for c in conns)
     return RouterSpec(name=name, connections=connections)
 
 
 def _parse_connection(entity: str, body, service_side: bool) -> ConnectionSpec:
-    _require_mapping(body, entity, "connection")
-    allowed = _SERVICE_CONN_KEYS if service_side else _ROUTER_CONN_KEYS
-    _check_keys(body, allowed, entity, "connection")
+    _mapping(body, entity, "connection", _SERVICE_CONN_KEYS if service_side else _ROUTER_CONN_KEYS)
     if "path" not in body:
         raise SchemaError("connection is missing 'path'", entity, "path")
     try:
@@ -201,8 +161,7 @@ def _parse_options(entity: str, body: dict) -> ImpairmentSpec:
 
 
 def _parse_timer(entity: str, body) -> TimerSpec:
-    _require_mapping(body, entity, "timer")
-    _check_keys(body, _TIMER_KEYS, entity, "timer")
+    _mapping(body, entity, "timer", _TIMER_KEYS)
     option = body.get("option")
     if option not in TIMED_OPTIONS:
         raise SchemaError(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 import struct
 from bisect import bisect_right
@@ -47,6 +48,8 @@ from .validation import ValidatedTopology
 MS = 1_000.0
 S = 1_000_000.0
 DIGEST_BLOCK = 4096  # event times hashed per sha256 update
+# where workload requests start and end: not an entity name (model.NAME_RE)
+CLIENT = "<client>"
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,8 @@ class Workload:
             raise ValueError("workload needs duration_s > 0")
         if not self.start_s >= 0:
             raise ValueError("workload needs start_s >= 0")
+        if not all(map(math.isfinite, (self.duration_s, self.start_s, self.rate or 0.0))):
+            raise ValueError("workload needs a finite duration_s, start_s and rate")
 
 
 @dataclass
@@ -450,7 +455,7 @@ class SimWorld:
 
     def _deliver(self, now: float, msg: Message):
         name = msg.route[msg.index]
-        if name == "__client__":
+        if name == CLIENT:
             ex = self.exchanges.get(msg.exchange_id)
             if ex is not None:
                 ex.finish(msg.ok)
@@ -497,7 +502,7 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
 
     start_us = workload.start_s * S
     end_us = start_us + workload.duration_s * S
-    route = ("__client__", workload.service)
+    route = (CLIENT, workload.service)
     stats = {"issued": 0, "completed": 0, "failed": 0, "in_window": 0}
     rtts: Counter[float] = Counter()  # RTT -> requests; far fewer keys than requests
 

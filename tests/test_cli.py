@@ -164,6 +164,8 @@ def test_simulate_max_rate_json_bound(lossy, probes, bound, tmp_path, monkeypatc
         (["--duration", "-1"], "workload needs duration_s > 0"),
         (["--duration", "0"], "workload needs duration_s > 0"),
         (["--max-rate", "--precision", "-1"], "precision must be >= 0"),
+        (["--duration", "inf"], "workload needs a finite duration_s, start_s and rate"),
+        (["--mode", "open", "--rate", "inf"], "workload needs a finite duration_s, start_s and rate"),
     ],
 )
 def test_simulate_rejects_unrunnable_input(argv, message, monkeypatch, capsys):
@@ -237,6 +239,21 @@ def test_k8s_rejects_names_kubernetes_refuses(name, tmp_path, capsys):
     assert not out.exists()
     # compose keeps accepting the name
     assert cli.main(["generate", str(config), "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("target", ["compose", "k8s"])
+def test_https_reserves_the_service_name_ca(target, tmp_path, capsys):
+    # its leaf certificate would take the authority's file, certs/ca.crt
+    config = tmp_path / "topo.yml"
+    config.write_text("ca:\n  type: service\n  port: 8000\n  endpoints:\n    - entrypoint: /\n      psize: 1\n")
+    out = tmp_path / "out"
+    argv = ["generate", str(config), "--target", target, "--output", str(out)]
+    assert cli.main([*argv, "--https"]) == 2
+    assert capsys.readouterr().err == (
+        "error: https reserves the service name 'ca' for the certificate authority\n"
+    )
+    assert not out.exists()
+    assert cli.main(argv) == 0
 
 
 def test_k8s_accepts_shop_demo(tmp_path):

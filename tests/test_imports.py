@@ -1,5 +1,6 @@
-"""What each entry point loads: cryptography only for HTTPS generation."""
+"""What each module loads: cryptography only for HTTPS generation, PyYAML only in yamlio."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,3 +20,18 @@ def test_entry_points_do_not_load_cryptography():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=60
     )
     assert out.stdout == "False\n"
+
+
+def test_only_yamlio_imports_yaml():
+    importers = set()
+    for path in Path(topoforge.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "yaml" or name.startswith("yaml.") for name in names):
+                importers.add(path.name)
+    assert importers == {"yamlio.py"}

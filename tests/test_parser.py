@@ -55,6 +55,21 @@ class TestSchemaRejection:
             tf.parse_config(text)
         assert ei.value.line == 4
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # a mapping's keys are checked before the sequences it holds are filled
+            ("a: [{x: 1, x: 2}]\nb: 1\nb: 2\n", ConfigSyntaxError, "line 3: duplicate key 'b'"),
+            # a sequence can hold the mapping it lies in; a mapping cannot hold itself
+            ("&x {a: [*x]}\n", SchemaError, "entity 'a': entity body must be a mapping, got list"),
+            ("&x {a: *x}\n", ConfigSyntaxError, "line 1: found unconstructable recursive node"),
+        ],
+    )
+    def test_read_in_safe_constructor_order(self, text, error, message):
+        with pytest.raises(error) as ei:
+            tf.parse_config(text)
+        assert str(ei.value).startswith(message)
+
     def test_unknown_entity_key(self):
         with pytest.raises(SchemaError, match="unknown key"):
             tf.parse_config(

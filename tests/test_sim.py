@@ -11,7 +11,7 @@ import pytest
 import topoforge as tf
 from topoforge.errors import WorkloadUnreachableError
 from topoforge.model import ImpairmentSpec, Rate
-from topoforge.sim import MS, S, ModelParams, _Exchange, _LinkDir, build_sim, run
+from topoforge.sim import CLIENT, MS, S, ModelParams, _Exchange, _LinkDir, build_sim, run
 
 from conftest import DATA, delay_chain_config, loss_chain_config, make_topology
 
@@ -166,11 +166,31 @@ class TestWorkloads:
             {"duration_s": 0},
             {"duration_s": -1.0},
             {"start_s": -0.5},
+            {"start_s": math.inf},
+            {"duration_s": math.inf},
+            {"mode": "open", "rate": math.inf},
         ],
     )
     def test_bad_workloads(self, kw):
         with pytest.raises(ValueError):
             run(build_sim(self._topo()), tf.Workload(service="a", entrypoint="/", **kw))
+
+    @pytest.mark.parametrize("target", ["front", "leaf"])
+    def test_no_entity_name_is_the_client(self, target):
+        text = (
+            "front:\n  type: service\n  port: 9000\n  endpoints:\n"
+            "    - entrypoint: /\n      psize: 128\n      connections:\n"
+            "        - path: leaf\n          url: /\n"
+            "leaf:\n  type: service\n  port: 9001\n  endpoints:\n"
+            "    - entrypoint: /\n      psize: 1000\n"
+        )
+
+        def report(leaf: str) -> dict:
+            w = tf.Workload(service=target.replace("leaf", leaf), duration_s=0.01)
+            return run(build_sim(make_topology(text.replace("leaf", leaf))), w).to_dict()
+
+        renamed = json.dumps(report("__client__")).replace("__client__", "leaf")
+        assert json.loads(renamed) == report("leaf")
 
     def test_used_world_refused(self):
         world = build_sim(self._topo(), seed=1)
@@ -373,7 +393,7 @@ class TestTimers:
         report, sends, finishes = self._run(0.5)
         assert report.issued == report.failed == 1
         # the client sends at 0, 200, ..., 800 ms: 1000 ms is its deadline
-        assert [t for _kind, src, t, _eid in sends if src == "__client__"] == [
+        assert [t for _kind, src, t, _eid in sends if src == CLIENT] == [
             k * 200 * MS for k in range(5)
         ]
         # a starts its call to b after 10 us of processing and retransmits
@@ -403,7 +423,7 @@ class TestTimers:
         report, sends, finishes = self._run(0.05, ModelParams(downstream_timeout_us=50 * MS))
         assert report.issued == report.failed == 1
         assert sends == [
-            ("request", "__client__", 0.0, 1),
+            ("request", CLIENT, 0.0, 1),
             ("request", "a", 10.0, 2),
             ("response", "a", 50 * MS + 10, 1),
         ]

@@ -7,18 +7,19 @@ PyYAML's pure-Python classes patched in, and compares the results.
 import gc
 import math
 import random
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import topoforge as tf
-from topoforge import parser, yamlio
+from topoforge import yamlio
 from topoforge.deploy import GenerationOptions, plan_deployment
-from topoforge.errors import ConfigSyntaxError
+from topoforge.errors import ConfigSyntaxError, SchemaError, TopoforgeError
 
 from conftest import chain_config, random_topology_text
 
@@ -31,7 +32,7 @@ class _PureLoader(yaml.SafeLoader):
     used = 0
 
     def __init__(self, stream):
-        _PureLoader.used += 1  # the parser instantiates a subclass
+        _PureLoader.used += 1  # yamlio.load makes one to compose
         super().__init__(stream)
 
 
@@ -66,14 +67,16 @@ def _syntax_error_line(text: str) -> int:
     return ei.value.line
 
 
-def test_libyaml_chosen_when_installed():
-    strict = parser._strict_loader(yamlio.Loader)
+def test_libyaml_chosen_when_installed(monkeypatch):
     if yaml.__with_libyaml__:
         assert (yamlio.Loader, yamlio.Dumper) == (yaml.CSafeLoader, yaml.CSafeDumper)
-        assert issubclass(strict, yaml.CSafeLoader)
     else:
         assert (yamlio.Loader, yamlio.Dumper) == (yaml.SafeLoader, yaml.SafeDumper)
-    assert issubclass(strict, yamlio.Loader)
+    loaders = []
+    compose = yaml.compose
+    monkeypatch.setattr(yaml, "compose", lambda text, Loader: loaders.append(Loader) or compose(text, Loader))
+    assert yamlio.load("a: [1]\n") == {"a": [1]}
+    assert loaders == [yamlio.Loader]
 
 
 def test_fig4_compose_golden(both, fig4_topology):
@@ -200,3 +203,102 @@ def test_dump_memory_stays_near_its_output(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(text), f"peak {peak} B for {len(text)} B of YAML"
+
+
+def _fan_out(levels: int, width: int = 10) -> str:
+    """``width ** levels`` leaves if aliases were expanded (the "billion laughs")."""
+    lines = ["l0: &l0 [" + ", ".join(["x"] * width) + "]"]
+    lines += [f"l{i}: &l{i} [" + ", ".join([f"*l{i - 1}"] * width) + "]" for i in range(1, levels)]
+    return "\n".join(lines) + "\n"
+
+
+_SERVICE = "  type: service\n  port: 8000\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+# YAML that no topology needs: tags, aliases, complex keys, malformed scalars, nesting bombs
+CRAFTED = {
+    "unhashable key": "? [1, 2]\n: x\n",
+    "unhashable key in a body": "a:\n  ? {b: 1}\n  : 2\n",
+    "complex key": "? !!binary aGk=\n: x\n",
+    "set body": "a: !!set {type, port}\n",
+    "set with an unhashable member": "a: !!set {? [1]}\n",
+    "omap body": "a: !!omap [{type: service}, {port: 8000}]\n",
+    "foo-tagged service": "a: !foo {type: service, port: 8000, endpoints: [{entrypoint: /, psize: 1}]}\n",
+    "map tag on a sequence": "a: !!map [1, 2]\n",
+    "bad int": "a:\n  type: service\n  port: 0b_\n",
+    "bad bool": "a: !!bool maybe\n",
+    "bad date": "a:\n  type: service\n  port: 2024-13-45\n",
+    "int past Python's 4300 digits": "a:\n  type: service\n  port: " + "1" * 5000 + "\n",
+    "merge key": "base: &b {type: service, port: 8000}\na:\n  <<: *b\n  endpoints: [{entrypoint: /, psize: 1}]\n",
+    "self-referencing alias": "&x [*x]\n",
+    "self-referencing mapping": "&x {a: *x}\n",
+    "shared body": "a: &s\n" + _SERVICE + "b: *s\n",
+    "alias fan-out": _fan_out(9),
+    "flow nesting bomb": "[" * 50_000 + "\n",
+    "block nesting bomb": "- " * 50_000 + "x\n",
+}
+
+
+def _outcome(text: str):
+    try:
+        return tf.parse_config(text)
+    except ConfigSyntaxError as exc:
+        return ConfigSyntaxError, exc.line  # each backend words its marks its own way
+    except TopoforgeError as exc:
+        return type(exc), str(exc)
+
+
+def _examples(test):
+    for text in CRAFTED.values():
+        test = example(text)(test)
+    return test
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_documents.map(yamlio.dump))
+@_examples
+def test_any_text_parses_or_raises_a_topoforge_error(both, text):
+    chosen, pure = both(lambda: _outcome(text))
+    assert chosen == pure
+
+
+def test_alias_fan_out_builds_each_node_once(both):
+    def seconds():
+        start = time.perf_counter()
+        with pytest.raises(SchemaError):
+            tf.parse_config(_fan_out(9))
+        return time.perf_counter() - start
+
+    assert max(both(seconds)) < 1.0
+    doc = yamlio.load(_fan_out(3))
+    assert doc["l2"][0] is doc["l2"][1] is doc["l1"]
+
+
+@pytest.mark.parametrize(
+    "nested, line",
+    [
+        (lambda depth: "[" * depth + "]" * depth, 1),
+        (lambda depth: "- " * depth + "x", 1),
+        # one mapping per line, each a column deeper
+        (lambda depth: "".join(f"{' ' * k}k:\n" for k in range(depth)) + " " * depth + "x",
+         yamlio.MAX_DEPTH + 1),
+    ],
+    ids=["flow", "compact sequences", "block mappings"],
+)
+def test_nesting_limit(both, nested, line):
+    deep = nested(yamlio.MAX_DEPTH)
+    assert both(lambda: yamlio.load(deep) is not None) == (True, True)
+    deeper = nested(yamlio.MAX_DEPTH + 1)
+    assert both(lambda: _syntax_error_line(deeper)) == (line, line)
+
+
+def test_load_leaves_no_garbage():
+    # a reference cycle would keep the whole node tree until the next collection
+    text = (DATA / "fig4.yml").read_text()
+    gc.collect()
+    gc.disable()
+    try:
+        yamlio.load(text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
