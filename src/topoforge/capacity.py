@@ -23,12 +23,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .model import PERCENT_OPTIONS, ImpairmentSpec
+from .model import ImpairmentSpec
 from .netplan import impairment_timeline
 from .sim import S, ModelParams
 from .validation import ValidatedTopology, link_key
 
-_RANDOM = PERCENT_OPTIONS + ("jitter",)  # options that draw from the seeded random source
+_RANDOM = ("jitter", "loss", "corrupt", "duplicate", "reorder")  # draw from the seeded random source
 
 
 @dataclass(frozen=True)

@@ -3,21 +3,38 @@
 The types here mirror the configuration document one-to-one.  Parsing of the
 document lives in :mod:`topoforge.parser`; structural validation across
 entities lives in :mod:`topoforge.validation`.
+
+:data:`OPTION_KINDS` describes each impairment option once, for the parser,
+validation and netplan alike: its literal's reader and writer, its valid
+range and its netem keyword.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import reprlib
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .errors import PathSyntaxError, SchemaError
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
-_RATE_BITS = {"kbit": 1_000, "mbit": 1_000_000, "gbit": 1_000_000_000}
+# show(value): the repr of a document value in an error message, bounded in
+# depth and length, as a few hundred bytes of aliases can nest into gigabytes
+_SHOW = reprlib.Repr()
+_SHOW.maxlevel = 2
+_SHOW.maxstring = _SHOW.maxother = 200
+show = _SHOW.repr
 
-# Options given as percentages, in netem parameter order.
-PERCENT_OPTIONS = ("loss", "corrupt", "duplicate", "reorder")
+
+# the units of each literal kind, read by _read_literal; the empty unit is a
+# bare number
+_LITERAL_RE = re.compile(r"\s*(\d+(?:\.\d+)?)\s*([a-z%]*)\s*")
+_RATE_BITS = {"kbit": 1_000, "mbit": 1_000_000, "gbit": 1_000_000_000}
+_DURATION_US = {"us": 1.0, "ms": 1_000.0, "s": 1_000_000.0, "": 1.0}
+_PERCENT = {"%": 1.0, "": 1.0}
 
 
 @dataclass(frozen=True)
@@ -36,10 +53,15 @@ class Rate:
 
 
 def format_number(x: float) -> str:
-    """Render a float without a trailing ``.0`` when it is integral."""
+    """Positional digits that read back as the same float, with no trailing
+    ``.0``: repr writes exponents below 1e-4, which no literal reader takes."""
     if x == int(x):
         return str(int(x))
-    return repr(x)
+    text = repr(x)
+    if "e" in text:  # shift repr's digits behind the point
+        digits, _e, exponent = repr(abs(x)).partition("e")
+        text = f"{'-' * (x < 0)}0.{'0' * (-int(exponent) - 1)}{digits.replace('.', '')}"
+    return text
 
 
 def format_us(x: float) -> str:
@@ -59,76 +81,67 @@ def to_float(value: int | float, entity=None, fieldname=None) -> float:
         raise SchemaError("number too large for a float", entity, fieldname) from None
 
 
-_RATE_RE = re.compile(rf"\s*(\d+(?:\.\d+)?)\s*({'|'.join(_RATE_BITS)})\s*")
+def _read_literal(value, kind: str, units: dict, entity, fieldname) -> tuple[float, str]:
+    """(number, unit) of a ``<number><unit>`` literal whose unit is a key of
+    ``units``; where the empty unit is one, a document number reads too."""
+    if "" in units and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return to_float(value, entity, fieldname), ""
+    m = _LITERAL_RE.fullmatch(value) if isinstance(value, str) else None
+    if not m or m.group(2) not in units:
+        raise SchemaError(f"cannot parse {kind} literal {show(value)}", entity, fieldname)
+    return float(m.group(1)), m.group(2)
 
 
 def parse_rate(value, *, entity=None, fieldname="rate") -> Rate:
-    if isinstance(value, Rate):
-        return value
-    if not isinstance(value, str):
-        raise SchemaError(
-            f"rate must be a string like '100mbit', got {value!r}", entity, fieldname
-        )
-    m = _RATE_RE.fullmatch(value)
-    if not m:
-        raise SchemaError(f"cannot parse rate literal {value!r}", entity, fieldname)
-    return Rate(float(m.group(1)), m.group(2))
+    return Rate(*_read_literal(value, "rate", _RATE_BITS, entity, fieldname))
 
 
 def parse_duration_us(value, *, entity=None, fieldname=None) -> float:
-    """Parse a time literal to microseconds.
-
-    Accepts bare numbers (already microseconds) or strings with a ``us``,
-    ``ms``, or ``s`` suffix.
-    """
-    if isinstance(value, bool):
-        raise SchemaError(f"expected a duration, got {value!r}", entity, fieldname)
-    if isinstance(value, (int, float)):
-        return to_float(value, entity, fieldname)
-    if isinstance(value, str):
-        m = re.fullmatch(r"\s*(\d+(?:\.\d+)?)\s*(us|ms|s)?\s*", value)
-        if m and m.group(1):
-            scale = {"us": 1.0, "ms": 1_000.0, "s": 1_000_000.0, None: 1.0}[m.group(2)]
-            return float(m.group(1)) * scale
-    raise SchemaError(f"cannot parse time literal {value!r}", entity, fieldname)
+    """Microseconds of a time literal; a bare number is microseconds."""
+    number, unit = _read_literal(value, "time", _DURATION_US, entity, fieldname)
+    return number * _DURATION_US[unit]
 
 
 def parse_percent(value, *, entity=None, fieldname=None) -> float:
-    """Parse a percent literal; the trailing ``%`` is optional."""
-    if isinstance(value, bool):
-        raise SchemaError(f"expected a percentage, got {value!r}", entity, fieldname)
-    if isinstance(value, (int, float)):
-        return to_float(value, entity, fieldname)
-    if isinstance(value, str):
-        m = re.fullmatch(r"\s*(\d+(?:\.\d+)?)\s*%?\s*", value)
-        if m:
-            return float(m.group(1))
-    raise SchemaError(f"cannot parse percent literal {value!r}", entity, fieldname)
+    """The number of a percent literal; the ``%`` is optional."""
+    return _read_literal(value, "percent", _PERCENT, entity, fieldname)[0]
 
 
 def parse_strict_int(value, *, entity=None, fieldname=None) -> int:
     """Accept only actual integers; no string coercion."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"expected an integer, got {value!r}", entity, fieldname)
+        raise SchemaError(f"expected an integer, got {show(value)}", entity, fieldname)
     return value
 
 
-# Each impairment option's (parse, format) pair: ``parse(value, entity=...,
-# fieldname=...)`` reads a document literal, ``format`` writes one back.
-OPTION_KINDS = {
-    "mtu": (parse_strict_int, lambda v: v),
-    "buffer_size": (parse_strict_int, lambda v: v),
-    "rate": (parse_rate, str),
-    "delay": (parse_duration_us, format_us),
-    "jitter": (parse_duration_us, format_us),
-    "loss": (parse_percent, format_percent),
-    "corrupt": (parse_percent, format_percent),
-    "duplicate": (parse_percent, format_percent),
-    "reorder": (parse_percent, format_percent),
-}
+@dataclass(frozen=True)
+class OptionKind:
+    """``parse(value, entity=..., fieldname=...)`` reads a document literal
+    and ``format`` writes one back; valid values (of a rate, its number) are
+    finite and in [low, high]; ``keyword`` is the netem parameter, if any."""
 
-# Impairment option names that a timer may override.
-TIMED_OPTIONS = tuple(OPTION_KINDS)
+    parse: Callable
+    format: Callable
+    low: float
+    high: float
+    keyword: str | None
+
+
+# One row per option, in netem parameter order (man tc-netem(8)).  A timer
+# may override any of them.
+OPTION_KINDS = {
+    "mtu": OptionKind(parse_strict_int, lambda v: v, 68, 65_535, None),
+    # netem's limit is a __u32 (struct tc_netem_qopt)
+    "buffer_size": OptionKind(parse_strict_int, lambda v: v, 1, 4_294_967_295, "limit"),
+    "rate": OptionKind(parse_rate, str, 0, math.inf, "rate"),
+    "delay": OptionKind(parse_duration_us, format_us, 0, math.inf, "delay"),
+    # netem takes jitter as delay's second argument
+    "jitter": OptionKind(parse_duration_us, format_us, 0, math.inf, None),
+    "loss": OptionKind(parse_percent, format_percent, 0, 100, "loss"),
+    "corrupt": OptionKind(parse_percent, format_percent, 0, 100, "corrupt"),
+    "duplicate": OptionKind(parse_percent, format_percent, 0, 100, "duplicate"),
+    "reorder": OptionKind(parse_percent, format_percent, 0, 100, "reorder"),
+}
 
 
 @dataclass(frozen=True)
@@ -152,12 +165,12 @@ def parse_path(s: str) -> Path:
     produced by a leading or trailing separator) are rejected.
     """
     if not isinstance(s, str):
-        raise PathSyntaxError(f"path must be a string, got {s!r}")
+        raise PathSyntaxError(f"path must be a string, got {show(s)}")
     if not s.strip():
-        raise PathSyntaxError(f"empty path string: {s!r}")
+        raise PathSyntaxError(f"empty path string: {show(s)}")
     hops = [h.strip() for h in s.split("->")]
     if any(not h for h in hops):
-        raise PathSyntaxError(f"empty hop in path {s!r}")
+        raise PathSyntaxError(f"empty hop in path {show(s)}")
     return Path(tuple(hops))
 
 
@@ -202,7 +215,7 @@ def merge_declarations(
     """
     taken: dict[str, object] = {}
     dropped: list[str] = []
-    for name in TIMED_OPTIONS + ("timers",):
+    for name in (*OPTION_KINDS, "timers"):
         value = getattr(later, name)
         if value is None or value == ():
             continue

@@ -3,7 +3,8 @@
 Allocates subnets and addresses, and plans as data the static host routes
 that make traffic follow the declared hop sequences (and replies retrace them)
 and each interface's egress options.  This module alone renders that data as
-``ip``/``tc``/``sysctl`` commands: setup commands and timer scripts.
+``ip``/``tc``/``sysctl`` commands: setup commands and timer scripts, whose
+netem parameters follow the keywords and order of ``model.OPTION_KINDS``.
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ import ipaddress
 from dataclasses import dataclass, field, replace
 
 from .errors import CapacityExceededError, ConflictingRouteError, OptionConflictError
-from .model import (
-    PERCENT_OPTIONS,
-    ImpairmentSpec,
-    format_number,
-    format_percent,
-    format_us,
-    merge_declarations,
-)
+from .model import OPTION_KINDS, ImpairmentSpec, format_number, format_us, merge_declarations
 from .validation import ValidatedTopology, check_plan_capacity, link_key, link_subnet_name
 
 DEFAULT_BASE_V4 = "10.0.0.0/8"
@@ -174,22 +168,15 @@ def impairment_timeline(spec: ImpairmentSpec) -> list[tuple[float, ImpairmentSpe
 
 
 def _netem_params(opt: ImpairmentSpec) -> str:
-    """netem parameter string with fixed ordering:
-    limit, rate, delay <d> <jitter>, loss, corrupt, duplicate, reorder."""
+    """netem parameter string: the keyword and value of each set option that
+    has a keyword, in table order, with jitter as delay's second argument."""
     parts = []
-    if opt.buffer_size is not None:
-        parts.append(f"limit {opt.buffer_size}")
-    if opt.rate is not None:
-        parts.append(f"rate {opt.rate}")
-    if opt.delay is not None:
-        if opt.jitter is not None:
-            parts.append(f"delay {format_us(opt.delay)} {format_us(opt.jitter)}")
-        else:
-            parts.append(f"delay {format_us(opt.delay)}")
-    for key in PERCENT_OPTIONS:
-        value = getattr(opt, key)
-        if value is not None:
-            parts.append(f"{key} {format_percent(value)}")
+    for name, kind in OPTION_KINDS.items():
+        value = getattr(opt, name)
+        if value is not None and kind.keyword:
+            parts.append(f"{kind.keyword} {kind.format(value)}")
+            if name == "delay" and opt.jitter is not None:
+                parts.append(format_us(opt.jitter))
     return " ".join(parts)
 
 

@@ -14,7 +14,6 @@ from .errors import PathSyntaxError, SchemaError
 from .model import (
     NAME_RE,
     OPTION_KINDS,
-    TIMED_OPTIONS,
     ConnectionSpec,
     EndpointSpec,
     ImpairmentSpec,
@@ -24,13 +23,14 @@ from .model import (
     TopologyConfig,
     parse_path,
     parse_strict_int,
+    show,
     to_float,
 )
 
 _SERVICE_KEYS = {"type", "port", "endpoints"}
 _ROUTER_KEYS = {"type", "connections"}
 _ENDPOINT_KEYS = {"entrypoint", "psize", "connections"}
-_OPTION_KEYS = set(TIMED_OPTIONS) | {"timers"}
+_OPTION_KEYS = {*OPTION_KINDS, "timers"}
 _SERVICE_CONN_KEYS = {"path", "url"} | _OPTION_KEYS
 _ROUTER_CONN_KEYS = {"path"} | _OPTION_KEYS
 _TIMER_KEYS = {"option", "start", "duration", "newValue"}
@@ -46,7 +46,7 @@ def parse_config(text: str) -> TopologyConfig:
     for name, body in doc.items():
         if not isinstance(name, str) or not NAME_RE.match(name):
             raise SchemaError(
-                f"invalid entity name {name!r} (expected [A-Za-z0-9_-]+)"
+                f"invalid entity name {show(name)} (expected [A-Za-z0-9_-]+)"
             )
         entities[name] = _parse_entity(name, body)
     if not any(isinstance(e, ServiceSpec) for e in entities.values()):
@@ -83,7 +83,7 @@ def _parse_entity(name: str, body) -> ServiceSpec | RouterSpec:
     if kind == "router":
         return _parse_router(name, _mapping(body, name, "router", _ROUTER_KEYS))
     raise SchemaError(
-        f"type must be 'service' or 'router', got {kind!r}", name, "type"
+        f"type must be 'service' or 'router', got {show(kind)}", name, "type"
     )
 
 
@@ -99,7 +99,7 @@ def _parse_service(name: str, body: dict) -> ServiceSpec:
     for ep in endpoints:
         if ep.entrypoint in seen:
             raise SchemaError(
-                f"duplicate entrypoint {ep.entrypoint!r}", name, "endpoints"
+                f"duplicate entrypoint {show(ep.entrypoint)}", name, "endpoints"
             )
         seen.add(ep.entrypoint)
     return ServiceSpec(name=name, port=port, endpoints=endpoints)
@@ -110,7 +110,7 @@ def _parse_endpoint(entity: str, body) -> EndpointSpec:
     entrypoint = body.get("entrypoint")
     if not isinstance(entrypoint, str) or not entrypoint.startswith("/"):
         raise SchemaError(
-            f"entrypoint must be a URL path starting with '/', got {entrypoint!r}",
+            f"entrypoint must be a URL path starting with '/', got {show(entrypoint)}",
             entity,
             "entrypoint",
         )
@@ -142,7 +142,7 @@ def _parse_connection(entity: str, body, service_side: bool) -> ConnectionSpec:
     if service_side:
         if not isinstance(url, str) or not url.startswith("/"):
             raise SchemaError(
-                f"service connection needs a url starting with '/', got {url!r}",
+                f"service connection needs a url starting with '/', got {show(url)}",
                 entity,
                 "url",
             )
@@ -152,8 +152,8 @@ def _parse_connection(entity: str, body, service_side: bool) -> ConnectionSpec:
 
 def _parse_options(entity: str, body: dict) -> ImpairmentSpec:
     kwargs = {
-        key: parse(body[key], entity=entity, fieldname=key)
-        for key, (parse, _fmt) in OPTION_KINDS.items()
+        key: kind.parse(body[key], entity=entity, fieldname=key)
+        for key, kind in OPTION_KINDS.items()
         if key in body
     }
     kwargs["timers"] = tuple(_parse_timer(entity, t) for t in _optional_list(body, "timers", entity))
@@ -163,9 +163,9 @@ def _parse_options(entity: str, body: dict) -> ImpairmentSpec:
 def _parse_timer(entity: str, body) -> TimerSpec:
     _mapping(body, entity, "timer", _TIMER_KEYS)
     option = body.get("option")
-    if option not in TIMED_OPTIONS:
+    if not isinstance(option, str) or option not in OPTION_KINDS:
         raise SchemaError(
-            f"timer option must be one of {', '.join(TIMED_OPTIONS)}, got {option!r}",
+            f"timer option must be one of {', '.join(OPTION_KINDS)}, got {show(option)}",
             entity,
             "option",
         )
@@ -180,8 +180,7 @@ def _parse_timer(entity: str, body) -> TimerSpec:
         raise SchemaError("timer start must be finite and >= 0", entity, "start")
     if not 0 < duration < math.inf:
         raise SchemaError("timer duration must be finite and > 0", entity, "duration")
-    parse, _fmt = OPTION_KINDS[option]
-    new_value = parse(body["newValue"], entity=entity, fieldname="newValue")
+    new_value = OPTION_KINDS[option].parse(body["newValue"], entity=entity, fieldname="newValue")
     return TimerSpec(option=option, start=start, duration=duration, new_value=new_value)
 
 
@@ -190,8 +189,8 @@ def _parse_timer(entity: str, body) -> TimerSpec:
 
 def _options_to_dict(opt: ImpairmentSpec) -> dict:
     out = {
-        key: fmt(getattr(opt, key))
-        for key, (_parse, fmt) in OPTION_KINDS.items()
+        key: kind.format(getattr(opt, key))
+        for key, kind in OPTION_KINDS.items()
         if getattr(opt, key) is not None
     }
     if opt.timers:
@@ -200,7 +199,7 @@ def _options_to_dict(opt: ImpairmentSpec) -> dict:
                 "option": t.option,
                 "start": t.start if t.start != int(t.start) else int(t.start),
                 "duration": t.duration if t.duration != int(t.duration) else int(t.duration),
-                "newValue": OPTION_KINDS[t.option][1](t.new_value),
+                "newValue": OPTION_KINDS[t.option].format(t.new_value),
             }
             for t in opt.timers
         ]

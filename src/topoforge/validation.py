@@ -27,16 +27,17 @@ from .errors import (
 )
 from .model import (
     OPTION_KINDS,
-    PERCENT_OPTIONS,
     ConnectionSpec,
     EntitySpec,
     ImpairmentSpec,
+    Rate,
     RouterSpec,
     ServiceSpec,
     TimerSpec,
     TopologyConfig,
     format_number,
     merge_declarations,
+    show,
 )
 
 # Address-family capacity limits for the single-host deployment target.
@@ -144,21 +145,18 @@ class ValidatedTopology:
 
 
 def _check_impairments(entity: str, opt: ImpairmentSpec):
-    if opt.mtu is not None and not (68 <= opt.mtu <= 65_535):
-        raise OptionRangeError(f"mtu {opt.mtu} outside [68, 65535]", entity, "mtu")
-    # netem's limit is a __u32 (struct tc_netem_qopt)
-    if opt.buffer_size is not None and not 1 <= opt.buffer_size <= 4_294_967_295:
-        raise OptionRangeError("buffer_size outside [1, 4294967295]", entity, "buffer_size")
-    if opt.rate is not None and not 0 < opt.rate.value < math.inf:
-        raise OptionRangeError("rate must be finite and > 0", entity, "rate")
-    for key in ("delay", "jitter"):
-        value = getattr(opt, key)
-        if value is not None and not 0 <= value < math.inf:
-            raise OptionRangeError(f"{key} must be finite and >= 0", entity, key)
-    for key in PERCENT_OPTIONS:
-        value = getattr(opt, key)
-        if value is not None and not (0 <= value <= 100):
-            raise OptionRangeError(f"{key} {value} outside [0, 100]", entity, key)
+    for name, kind in OPTION_KINDS.items():
+        value = getattr(opt, name)
+        if value is None:
+            continue
+        number = value.value if isinstance(value, Rate) else value
+        if not (kind.low <= number <= kind.high and number < math.inf):
+            end = f"{kind.high}]" if kind.high < math.inf else "inf)"
+            raise OptionRangeError(
+                f"{name} outside [{kind.low}, {end}, got {show(number)}", entity, name
+            )
+        if name == "rate" and number <= 0:
+            raise OptionRangeError("rate must be > 0", entity, name)
     for key in ("jitter", "reorder"):
         if (getattr(opt, key) or 0) > 0 and (opt.delay or 0) <= 0:
             raise OptionRangeError(f"{key} > 0 requires delay > 0", entity, key)
@@ -343,7 +341,7 @@ def _format_option(name: str, value) -> str:
             f"from {format_number(tm.start)}s for {format_number(tm.duration)}s"
             for tm in value
         ) + "]"
-    return str(OPTION_KINDS[name][1](value))
+    return str(OPTION_KINDS[name].format(value))
 
 
 def _merge_impairments(edge: LinkEdge, opt: ImpairmentSpec, declarer: str, warnings: list[str]):

@@ -5,11 +5,24 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import topoforge as tf
 from topoforge.errors import CapacityExceededError, OptionConflictError
-from topoforge.model import ImpairmentSpec, Rate, TimerSpec
+from topoforge.model import (
+    OPTION_KINDS,
+    ConnectionSpec,
+    EndpointSpec,
+    ImpairmentSpec,
+    Path,
+    Rate,
+    ServiceSpec,
+    TimerSpec,
+    TopologyConfig,
+)
 from topoforge.deploy import GenerationOptions, plan_deployment
+from topoforge.sim import build_sim
 from topoforge.netplan import (
     impairment_timeline,
     plan_network,
@@ -410,3 +423,101 @@ class TestOneNetemPerInterface:
         assert np.subnet_between("front", "pay") == "bridge"
         assert {name: list(by_iface) for name, by_iface in np.egress.items()} == {"front": [toward_r1]}
         assert np.egress["front"][toward_r1].rate == Rate(100, "mbit")
+
+
+# --- netem read-back ----------------------------------------------------------
+
+# netem's keyword of each option (man tc-netem(8)); jitter is delay's second
+# argument, and mtu is no netem parameter
+_NETEM_KEYWORDS = {
+    "limit": "buffer_size", "rate": "rate", "delay": "delay", "loss": "loss",
+    "corrupt": "corrupt", "duplicate": "duplicate", "reorder": "reorder",
+}
+_NETEM_RE = re.compile(r"tc qdisc (?:add|change) dev eth0 root netem (.*)")
+
+
+def _finite(low: float, **kwargs):
+    return st.floats(low, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+# valid values of each option; delay stays above 0 for jitter and reorder
+_VALUES = {
+    "mtu": st.integers(68, 65_535),
+    "buffer_size": st.integers(1, 2**32 - 1),
+    "rate": st.builds(Rate, _finite(0, exclude_min=True), st.sampled_from(["kbit", "mbit", "gbit"])),
+    "delay": _finite(0, exclude_min=True),
+    "jitter": _finite(0),
+    **{key: st.floats(0, 100) for key in ("loss", "corrupt", "duplicate", "reorder")},
+}
+
+
+@st.composite
+def _specs(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_VALUES)), unique=True))
+    values = {name: draw(_VALUES[name]) for name in names}
+    if "delay" not in values:
+        values.pop("jitter", None)
+        values.pop("reorder", None)
+    timers = []
+    for _ in range(draw(st.integers(0, 3)) if values else 0):
+        option = draw(st.sampled_from(sorted(values)))
+        start, duration = draw(st.integers(0, 30)), draw(st.integers(1, 30))
+        timers.append(TimerSpec(option, float(start), float(duration), draw(_VALUES[option])))
+    return ImpairmentSpec(**values, timers=tuple(timers))
+
+
+def _netem_values(spec: ImpairmentSpec) -> dict:
+    """The options of ``spec`` that its netem line carries."""
+    values = {name: getattr(spec, name) for name in [*_NETEM_KEYWORDS.values(), "jitter"]}
+    if spec.delay is None:
+        del values["jitter"]
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _read_netem(params: str) -> dict:
+    """Each netem argument read back through its option's parser; the
+    keywords must come in table order."""
+    tokens, values = params.split(), {}
+    while tokens:
+        name, token = _NETEM_KEYWORDS[tokens.pop(0)], tokens.pop(0)
+        values[name] = token
+        if name == "delay" and tokens and tokens[0] not in _NETEM_KEYWORDS:
+            values["jitter"] = tokens.pop(0)
+    assert list(values) == [name for name in OPTION_KINDS if name in values]
+    return {
+        name: OPTION_KINDS[name].parse(int(token) if token.isdigit() else token)
+        for name, token in values.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs())
+@example(
+    ImpairmentSpec(
+        rate=Rate(1e-7, "kbit"), delay=1e-5, jitter=5e-324, loss=1e-5,
+        timers=(TimerSpec("delay", 1.0, 2.0, 1e-7),),
+    )
+)
+def test_netem_arguments_read_back(spec):
+    """What setup commands and timer scripts pass to netem reads back as the
+    values the spec, and the simulator's link, hold."""
+    cfg = TopologyConfig({
+        "a": ServiceSpec("a", 8000, (EndpointSpec("/", 1, (ConnectionSpec(Path(("b",)), "/", spec),)),)),
+        "b": ServiceSpec("b", 8001, (EndpointSpec("/", 1),)),
+    })
+    t = tf.validate(cfg)
+    np = plan_network(t)
+    setup = [m.group(1) for m in map(_NETEM_RE.fullmatch, setup_commands(t, np, "a")) if m]
+    assert [_read_netem(params) for params in setup] == ([_netem_values(spec)] if _netem_values(spec) else [])
+    # the timer script: one netem line for each change of the values in force
+    expected, current = [], _netem_values(spec)
+    for _start, values in impairment_timeline(spec):
+        if _netem_values(values) != current:
+            current = _netem_values(values)
+            expected.append(current)
+    script = np.timer_scripts.get("a", "").splitlines()
+    assert [_read_netem(m.group(1)) for m in map(_NETEM_RE.fullmatch, script) if m] == expected
+    world = build_sim(t)
+    for start, values in impairment_timeline(spec):
+        for name in OPTION_KINDS:
+            assert world.link_param("a", "b", name, start) == getattr(values, name)

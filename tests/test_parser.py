@@ -1,11 +1,13 @@
 """Parsing, literal handling, and serialization round-trips."""
 
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import topoforge as tf
-from topoforge.errors import ConfigSyntaxError, PathSyntaxError, SchemaError
+from topoforge.errors import ConfigSyntaxError, LocatedError, PathSyntaxError, SchemaError
 from topoforge.netplan import timer_window
 from topoforge.model import (
     Rate,
@@ -269,9 +271,56 @@ class TestLiterals:
                 parse_strict_int(bad)
 
 
+def _alias_chain(levels: int) -> str:
+    """A flow sequence of ``levels`` anchored lists, each holding ten aliases
+    of the one before: a few hundred bytes whose full repr grows tenfold per
+    level."""
+    items = ["&l0 [" + ", ".join(["x"] * 10) + "]"]
+    items += [f"&l{k} [" + ", ".join([f"*l{k - 1}"] * 10) + "]" for k in range(1, levels)]
+    return "[" + ", ".join(items) + "]"
+
+
+_SVC = "a:\n  type: service\n  port: 8000\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+_CONN = _SVC + "      connections:\n        - path: b\n          url: /\n"
+
+
+# a document whose CHAIN is the value of each field
+_IN_FIELD = {
+    "port": "a:\n  type: service\n  port: CHAIN\n",
+    "type": "a:\n  type: CHAIN\n",
+    "entrypoint": "a:\n  type: service\n  port: 8000\n  endpoints:\n    - entrypoint: CHAIN\n",
+    "url": _SVC + "      connections:\n        - path: b\n          url: CHAIN\n",
+    "path": _SVC + "      connections:\n        - path: CHAIN\n",
+    "delay": _CONN + "          delay: CHAIN\n",
+    "option": _CONN + "          timers:\n            - option: CHAIN\n",
+}
+
+
+@pytest.mark.parametrize("levels", [6, 9])
+@pytest.mark.parametrize("field", list(_IN_FIELD))
+def test_error_echoes_a_bounded_value(levels, field):
+    # aliases make the value huge; its echo in the message stays short
+    text = _IN_FIELD[field].replace("CHAIN", _alias_chain(levels))
+    start = time.perf_counter()
+    with pytest.raises(LocatedError) as ei:
+        tf.parse_config(text)
+    assert time.perf_counter() - start < 0.1
+    assert ei.value.field == field
+    assert len(str(ei.value)) < 1024
+
+
 # --- round-trip property ------------------------------------------------------
 
 _names = st.from_regex(r"[a-z][a-z0-9_-]{0,6}", fullmatch=True)
+
+
+def _numbers(most: int):
+    """Integer literals, and decimal literals down to 1e-7: repr writes a
+    float below 1e-4 in exponent notation, which no literal reader takes."""
+    return st.one_of(
+        st.integers(0, most).map(str),
+        st.integers(1, most * 10**7).map(lambda n: f"{n // 10**7}.{n % 10**7:07d}"),
+    )
 
 
 @st.composite
@@ -293,12 +342,18 @@ def _configs(draw):
             doc_lines.append("      connections:")
             doc_lines.append(f'        - path: "{target}"')
             doc_lines.append("          url: /")
+            delay = draw(st.booleans())
+            if delay:
+                doc_lines.append(f"          delay: {draw(_numbers(10_000))}us")
             if draw(st.booleans()):
-                doc_lines.append(f"          delay: {draw(st.integers(1, 10_000))}us")
+                doc_lines.append(f"          loss: {draw(_numbers(100))}%")
             if draw(st.booleans()):
-                doc_lines.append(f"          loss: {draw(st.integers(0, 100))}%")
-            if draw(st.booleans()):
-                doc_lines.append(f"          rate: {draw(st.integers(1, 1000))}mbit")
+                doc_lines.append(f"          rate: {draw(_numbers(1000))}mbit")
+            if delay and draw(st.booleans()):
+                doc_lines.append(
+                    "          timers:\n            - option: delay\n              start: 1\n"
+                    f"              duration: 2\n              newValue: {draw(_numbers(10_000))}us"
+                )
     return "\n".join(doc_lines) + "\n"
 
 
@@ -311,9 +366,21 @@ _KEYWORD_NAMES = (
 )
 
 
+# the smallest decimal of each option and of a timer's new value
+_TINY_VALUES = (
+    "a:\n  type: service\n  port: 8000\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+    "      connections:\n        - path: b\n          url: /\n          delay: 0.0000001us\n"
+    "          loss: 0.0000001%\n          rate: 0.0000001mbit\n          timers:\n"
+    "            - option: delay\n              start: 1\n              duration: 2\n"
+    "              newValue: 0.0000001us\n"
+    "b:\n  type: service\n  port: 8001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_configs())
 @example(_KEYWORD_NAMES)
+@example(_TINY_VALUES)
 def test_serialize_parse_roundtrip(text):
     cfg = tf.parse_config(text)
     assert tf.parse_config(tf.serialize_config(cfg)) == cfg

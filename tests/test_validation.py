@@ -18,7 +18,7 @@ from topoforge.errors import (
     UnknownEntrypointError,
     ValidationError,
 )
-from topoforge.model import Rate
+from topoforge.model import OPTION_KINDS, Rate
 from topoforge.validation import (
     MAX_HOSTS_PER_SUBNET_V4,
     MAX_SERVICES,
@@ -308,6 +308,75 @@ class TestPortsAndOptions:
             "link 'front<->r1': keeping timers [rate 1gbit from 1s for 2s] declared by "
             "'front', dropping [rate 1gbit from 5s for 10s] declared by 'front'"
         ]
+
+
+# Each option's range as the README states it: a valid base value for a timer
+# to override, the values at its finite bounds, which validate, and the first
+# values beyond them, which do not.  rate's bound 0 is exclusive.
+_RANGES = {
+    "mtu": ("1500", ["68", "65535"], ["67", "65536"]),
+    "buffer_size": ("1000", ["1", "4294967295"], ["0", "4294967296"]),
+    "rate": ("1mbit", ["0.0000001kbit"], ["0mbit", "0kbit", "9" * 400 + "gbit"]),
+    "delay": ("1ms", ["0us"], ["-4.9e-324", ".inf"]),
+    "jitter": ("1us", ["0us"], ["-4.9e-324", ".inf"]),
+    "loss": ("1%", ["0%", "100%"], ["-4.9e-324", "100.00000000000001%"]),
+    "corrupt": ("1%", ["0%", "100%"], ["-4.9e-324", "100.00000000000001%"]),
+    "duplicate": ("1%", ["0%", "100%"], ["-4.9e-324", "100.00000000000001%"]),
+    "reorder": ("1%", ["0%", "100%"], ["-4.9e-324", "100.00000000000001%"]),
+}
+
+
+def _range_cases(valid: bool):
+    return [
+        pytest.param(option, value, timer, id=f"{option}-{value[:24]}-{'timer' if timer else 'base'}")
+        for option, (_base, ok, beyond) in _RANGES.items()
+        for value in (ok if valid else beyond)
+        for timer in (False, True)
+    ]
+
+
+def _option_config(option: str, value: str, timer: bool) -> str:
+    """a -> b with ``option`` set to ``value``, or overridden to it by a
+    timer; every connection has a delay, which jitter and reorder need."""
+    lines = [] if option == "delay" else ["delay: 1ms"]
+    if timer:
+        lines += [
+            f"{option}: {_RANGES[option][0]}", "timers:", f"  - option: {option}",
+            "    start: 1", "    duration: 2", f"    newValue: {value}",
+        ]
+    else:
+        lines.append(f"{option}: {value}")
+    conn = "        - path: b\n          url: /\n" + "".join(f"          {ln}\n" for ln in lines)
+    return _svc_a(conn) + _LEAF
+
+
+class TestOptionRanges:
+    def test_every_option_has_cases(self):
+        assert sorted(_RANGES) == sorted(OPTION_KINDS)
+
+    @pytest.mark.parametrize("option, value, timer", _range_cases(valid=True))
+    def test_bound_accepted(self, option, value, timer):
+        make_topology(_option_config(option, value, timer))
+
+    @pytest.mark.parametrize("option, value, timer", _range_cases(valid=False))
+    def test_beyond_bound_rejected(self, option, value, timer):
+        with pytest.raises(OptionRangeError) as ei:
+            make_topology(_option_config(option, value, timer))
+        assert (ei.value.entity, ei.value.field) == ("a", option)
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("mtu", "67", "mtu outside [68, 65535], got 67"),
+            ("loss", "100.5%", "loss outside [0, 100], got 100.5"),
+            ("delay", ".inf", "delay outside [0, inf), got inf"),
+            ("rate", "0mbit", "rate must be > 0"),
+        ],
+    )
+    def test_range_message(self, option, value, message):
+        with pytest.raises(OptionRangeError) as ei:
+            make_topology(_option_config(option, value, timer=False))
+        assert str(ei.value) == f"entity 'a', field '{option}': {message}"
 
 
 class TestCapacityLimits:
