@@ -126,6 +126,14 @@ class OptionKind:
     high: float
     keyword: str | None
 
+    def out_of_range(self, name: str, value) -> str | None:
+        """Why ``value`` of option ``name`` is out of range; None if it is in range."""
+        number = value.value if isinstance(value, Rate) else value
+        if self.low <= number <= self.high and number < math.inf:
+            return None
+        end = f"{self.high}]" if self.high < math.inf else "inf)"
+        return f"{name} outside [{self.low}, {end}, got {show(number)}"
+
 
 # One row per option, in netem parameter order (man tc-netem(8)).  A timer
 # may override any of them.

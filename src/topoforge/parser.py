@@ -187,10 +187,17 @@ def _parse_timer(entity: str, body) -> TimerSpec:
 # --- serialization -----------------------------------------------------------
 
 
-def _options_to_dict(opt: ImpairmentSpec) -> dict:
+def _format_option(name: str, value, entity: str, fieldname: str):
+    problem = OPTION_KINDS[name].out_of_range(name, value)
+    if problem:  # its literal would not parse back, or would not be the same value
+        raise SchemaError(f"cannot serialize {problem}", entity, fieldname)
+    return OPTION_KINDS[name].format(value)
+
+
+def _options_to_dict(entity: str, opt: ImpairmentSpec) -> dict:
     out = {
-        key: kind.format(getattr(opt, key))
-        for key, kind in OPTION_KINDS.items()
+        key: _format_option(key, getattr(opt, key), entity, key)
+        for key in OPTION_KINDS
         if getattr(opt, key) is not None
     }
     if opt.timers:
@@ -199,7 +206,7 @@ def _options_to_dict(opt: ImpairmentSpec) -> dict:
                 "option": t.option,
                 "start": t.start if t.start != int(t.start) else int(t.start),
                 "duration": t.duration if t.duration != int(t.duration) else int(t.duration),
-                "newValue": OPTION_KINDS[t.option].format(t.new_value),
+                "newValue": _format_option(t.option, t.new_value, entity, "newValue"),
             }
             for t in opt.timers
         ]
@@ -220,7 +227,11 @@ def config_to_dict(cfg: TopologyConfig) -> dict:
                         **(
                             {
                                 "connections": [
-                                    {"path": str(c.path), "url": c.url, **_options_to_dict(c.options)}
+                                    {
+                                        "path": str(c.path),
+                                        "url": c.url,
+                                        **_options_to_dict(name, c.options),
+                                    }
                                     for c in ep.connections
                                 ]
                             }
@@ -235,7 +246,7 @@ def config_to_dict(cfg: TopologyConfig) -> dict:
             doc[name] = {
                 "type": "router",
                 "connections": [
-                    {"path": str(c.path), **_options_to_dict(c.options)}
+                    {"path": str(c.path), **_options_to_dict(name, c.options)}
                     for c in ent.connections
                 ],
             }
@@ -245,7 +256,9 @@ def config_to_dict(cfg: TopologyConfig) -> dict:
 def serialize_config(cfg: TopologyConfig) -> str:
     """Render a TopologyConfig back to the config document format.
 
-    ``parse_config(serialize_config(cfg)) == cfg`` holds for any parsed cfg.
+    ``parse_config(serialize_config(cfg)) == cfg`` holds for any parsed cfg
+    whose option values are in range; an option value out of its range (in
+    ``model.OPTION_KINDS``) raises SchemaError naming its entity and field.
     """
     return yamlio.dump(config_to_dict(cfg))
 

@@ -3,26 +3,28 @@
 Listens on configured entrypoints, queries downstream services strictly
 sequentially over pooled persistent connections, answers with a random
 payload of the configured size, and optionally exports trace spans to a
-collector endpoint or a file sink.
+collector endpoint or a file sink.  It reads and writes HTTP/1.1 itself and
+needs only the standard library.
 """
 
 from __future__ import annotations
 
 import argparse
-import http.client
 import json
 import os
 import random
 import re
 import socket
-import ssl
+import socketserver
 import sys
 import threading
 import time
-import urllib.request
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # ssl is loaded only by a service that speaks TLS
+    import ssl
 
 # a service started with start() notices stop() within this many seconds;
 # serve_forever() (the container entry point) keeps the default 0.5 s poll
@@ -103,14 +105,273 @@ class SpanRecord:
         }
 
 
-class SpanExporter:
+# --- HTTP/1.1 messages (RFC 9112) ------------------------------------------
+
+# the longest start or field line, its CRLF included, and the most field
+# lines in one head; a longer line or a larger head is refused
+_MAX_LINE = 65536
+_MAX_FIELDS = 100
+# a field line is a token, a colon and a value between optional whitespace;
+# whitespace before the colon and an obs-fold line do not match (5.1, 5.2)
+_FIELD_RE = re.compile(rb"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):[ \t]*(.*?)[ \t]*\r?\n")
+_VERSION_RE = re.compile(rb"HTTP/([0-9])\.([0-9])")
+_STATUS_RE = re.compile(rb"HTTP/1\.([0-9]) ([0-9]{3})(?: [^\r\n]*)?\r?\n")
+# the hex size of a chunk, and a Content-Length (int() refuses long numbers)
+_CHUNK_SIZE_RE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+_LENGTH_RE = re.compile(r"[0-9]{1,18}")
+_CHUNKED = -1  # the body length of a chunked message
+
+_REASONS = {
+    200: "OK", 400: "Bad Request", 404: "Not Found", 414: "URI Too Long",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
+    501: "Not Implemented", 502: "Bad Gateway", 505: "HTTP Version Not Supported",
+}
+_SERVER = "topoforge-service Python/" + sys.version.split()[0]
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+class _Malformed(Exception):
+    """A message that cannot be read; ``status`` is a server's answer to it."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(reason)
+        self.status = status
+
+
+def _read_fields(rfile) -> dict[str, str]:
+    """The field lines of a head, up to its empty line: lower-case name ->
+    value, the values of a repeated name joined by ", " (RFC 9110 5.3)."""
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_FIELDS + 1):
+        line = rfile.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if len(line) > _MAX_LINE:
+            raise _Malformed(431, "field line too long")
+        m = _FIELD_RE.fullmatch(line)
+        if m is None:  # also a head that the stream cut short
+            raise _Malformed(400, "malformed field line")
+        name, value = m[1].decode().lower(), m[2].decode("latin-1")
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise _Malformed(431, f"more than {_MAX_FIELDS} fields")
+
+
+def _body_length(fields: dict[str, str]) -> int | None:
+    """The body length a head declares (RFC 9112 6.3): a byte count,
+    ``_CHUNKED``, or None when it has neither framing field."""
+    codings = fields.get("transfer-encoding")
+    if codings is not None:
+        if "content-length" in fields:  # both at once may be request smuggling
+            raise _Malformed(400, "both Transfer-Encoding and Content-Length")
+        if [c.strip().lower() for c in codings.split(",")] != ["chunked"]:
+            raise _Malformed(501, "unsupported transfer coding")
+        return _CHUNKED
+    if "content-length" not in fields:
+        return None
+    lengths = {v.strip() for v in fields["content-length"].split(",")}
+    length = lengths.pop()
+    if lengths or not _LENGTH_RE.fullmatch(length):  # differing values, or no number
+        raise _Malformed(400, "malformed Content-Length")
+    return int(length)
+
+
+def _skip(rfile, n: int):
+    while n:
+        data = rfile.read(min(n, 65536))
+        if not data:
+            raise _Malformed(400, "incomplete body")
+        n -= len(data)
+
+
+def _skip_body(rfile, length: int | None):
+    """Read and drop a body of ``length`` bytes, a chunked body with its
+    trailer fields (RFC 9112 7.1), or (None) everything up to the close."""
+    if length is None:
+        while rfile.read(65536):
+            pass
+    elif length != _CHUNKED:
+        _skip(rfile, length)
+    else:
+        while _CHUNK_SIZE_RE.fullmatch(size := rfile.readline(_MAX_LINE).split(b";", 1)[0].strip()):
+            if int(size, 16) == 0:
+                _read_fields(rfile)  # the trailer section
+                return
+            _skip(rfile, int(size, 16))
+            if rfile.readline(_MAX_LINE) not in (b"\r\n", b"\n"):
+                break
+        raise _Malformed(400, "malformed chunked body")
+
+
+def _keeps_alive(http11: bool, fields: dict[str, str]) -> bool:
+    """Whether a message leaves its connection open (RFC 9112 9.3)."""
+    tokens = {t.strip().lower() for t in fields.get("connection", "").split(",")}
+    return "close" not in tokens if http11 else "keep-alive" in tokens
+
+
+def _read_reply(rfile, line: bytes) -> tuple[int, bool]:
+    """Read the rest of a reply whose status line is ``line``; returns its
+    status and whether its connection stays open."""
+    m = _STATUS_RE.fullmatch(line) if len(line) <= _MAX_LINE else None
+    if m is None:
+        raise _Malformed(502, "malformed status line")
+    status, fields = int(m[2]), _read_fields(rfile)
+    if status < 200:
+        raise _Malformed(502, "an interim reply")  # never asked for
+    length = 0 if status in (204, 304) else _body_length(fields)
+    _skip_body(rfile, length)
+    return status, length is not None and _keeps_alive(m[1] != b"0", fields)
+
+
+def _http_date(seconds: float | None = None) -> str:
+    """An IMF-fixdate (RFC 9110 5.6.7), in English whatever the locale."""
+    t = time.gmtime(seconds)
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
+
+
+class _Conn:
+    """A client connection and the buffered reader on it."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock: socket.socket | None = sock  # None once closed
+        self.rfile = sock.makefile("rb")
+        self.pooled_at = 0.0
+
+    def close(self):
+        if self.sock is not None:
+            self.rfile.close()
+            self.sock.close()
+            self.sock = None
+
+
+class _HttpClient:
+    """HTTP/1.1 requests over persistent connections.
+
+    Idle connections are pooled by (scheme, address, port) and shared by
+    every thread.  Each socket operation times out after ``timeout`` s.
+    """
+
+    def __init__(self, timeout: float, tls: ssl.SSLContext | None):
+        self._timeout = timeout
+        self._tls = tls
+        # idle connections, oldest first; None once closed
+        self._idle: dict[tuple[str, str, int], list[_Conn]] | None = {}
+        self._conn_lock = threading.Lock()
+
+    def _request(
+        self, key: tuple[str, str, int], url: str, headers: dict, *body: bytes
+    ) -> int | None:
+        """The status of a GET of ``url``, or of a POST of ``body`` if given;
+        None if the request failed.
+
+        A pooled connection that broke before a status line arrived has gone
+        stale while idle, and the request is retried once on a fresh one.
+        """
+        stale_before = time.monotonic() - IDLE_TIMEOUT_S / 2
+        with self._conn_lock:
+            idle = self._idle.get(key) if self._idle is not None else None
+            stale = []
+            while idle and idle[0].pooled_at < stale_before:
+                stale.append(idle.pop(0))
+            conn = idle.pop() if idle else None
+        for old in stale:
+            old.close()
+        if conn is not None:
+            try:
+                return self._exchange(key, conn, url, headers, *body)
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+        scheme, address, port = key
+        try:
+            sock = socket.create_connection((address, port), self._timeout)
+            if scheme == "https":
+                sock = self._tls.wrap_socket(sock, server_hostname=address)
+        except OSError:
+            return None
+        try:
+            return self._exchange(key, _Conn(sock), url, headers, *body)
+        except (ConnectionResetError, BrokenPipeError):
+            return None
+
+    def _exchange(
+        self, key: tuple[str, str, int], conn: _Conn, url: str, headers: dict, *body: bytes
+    ) -> int | None:
+        """One request on ``conn`` and its reply, read in full; returns the
+        reply's status, or None if it could not be read.
+
+        Raises ConnectionResetError or BrokenPipeError when the connection
+        broke before a status line arrived.  The connection is pooled after a
+        reply that keeps it open and closed otherwise.
+        """
+        address, port = key[1:]
+        host = f"[{address}]:{port}" if ":" in address else f"{address}:{port}"
+        head = f"{'POST' if body else 'GET'} {url} HTTP/1.1\r\nHost: {host}\r\n" + "".join(
+            f"{name}: {value}\r\n" for name, value in headers.items()
+        )
+        if body:
+            head += f"Content-Length: {len(body[0])}\r\n"
+        try:
+            conn.sock.sendall(head.encode("ascii") + b"\r\n" + b"".join(body))
+            line = conn.rfile.readline(_MAX_LINE + 1)
+            if not line:
+                raise ConnectionResetError("connection closed before a status line")
+        except (ConnectionResetError, BrokenPipeError):
+            conn.close()
+            raise
+        except (OSError, ValueError):  # a timeout, or a url that is not ASCII
+            conn.close()
+            return None
+        try:
+            status, keep = _read_reply(conn.rfile, line)
+        except (OSError, _Malformed):
+            conn.close()
+            return None
+        if keep:
+            with self._conn_lock:
+                if self._idle is not None:
+                    conn.pooled_at = time.monotonic()
+                    self._idle.setdefault(key, []).append(conn)
+                    return status
+        conn.close()
+        return status
+
+    def _close_pool(self):
+        """Close every idle connection; one in use is closed when its reply is read."""
+        with self._conn_lock:
+            idle = [conn for conns in (self._idle or {}).values() for conn in conns]
+            self._idle = None
+        for conn in idle:
+            conn.close()  # ends the peer's handler thread for this connection
+
+
+# an http(s) URL: scheme, bracketed or plain host, optional port and path
+_URL_RE = re.compile(r"(https?)://(?:\[([^\]/]*)\]|([^\[\]/:]+))(?::([0-9]{1,5}))?(/.*)?")
+
+
+class SpanExporter(_HttpClient):
     """Best-effort asynchronous span delivery behind a bounded queue.
 
     Overflow drops the oldest record and increments ``dropped``; export
-    never blocks the request path.
+    never blocks the request path.  Each batch is POSTed to ``endpoint`` as
+    ndjson over a kept-alive connection, and appended to ``sink_file``.
     """
 
     def __init__(self, endpoint: str | None = None, sink_file: str | None = None, maxlen: int = 4096):
+        url = _URL_RE.fullmatch(endpoint) if endpoint else None
+        # (key, path) of the collector; None if it has no http(s) URL
+        self._target = url and (
+            (url[1], url[2] or url[3], int(url[4] or (443 if url[1] == "https" else 80))),
+            url[5] or "/",
+        )
+        tls = None
+        if url and url[1] == "https":
+            import ssl
+
+            tls = ssl.create_default_context()
+        super().__init__(2.0, tls)
         self.endpoint = endpoint
         self.sink_file = sink_file
         self.dropped = 0
@@ -160,15 +421,10 @@ class SpanExporter:
             except OSError:
                 lost = True
         if self.endpoint:
-            try:
-                req = urllib.request.Request(
-                    self.endpoint,
-                    data=payload.encode(),
-                    headers={"Content-Type": "application/x-ndjson"},
-                )
-                urllib.request.urlopen(req, timeout=2.0).read()
-            except (OSError, ValueError):  # URLError is an OSError
-                lost = True
+            status = self._target and self._request(
+                *self._target, {"Content-Type": "application/x-ndjson"}, payload.encode()
+            )
+            lost = lost or not (status and 200 <= status < 300)
         if lost:
             with self._lock:  # export() counts overflow drops concurrently
                 self.dropped += len(batch)
@@ -182,6 +438,7 @@ class SpanExporter:
         self._closed = True
         self._wake.set()
         self.flush()
+        self._close_pool()
 
 
 # W3C Trace Context: an all-zero trace-id or parent-id is invalid
@@ -210,18 +467,8 @@ def random_payload(n: int, rng: random.Random | None = None) -> bytes:
     return os.urandom(n)
 
 
-# a chunked request body: the hex size of each chunk, and the longest line
-# (size line or trailer field) read before the request is refused
-_CHUNK_SIZE_RE = re.compile(rb"[0-9A-Fa-f]{1,16}")
-_MAX_LINE = 65536
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "topoforge-service"
-    # headers and body go out in two sends: with Nagle on, the body would
-    # wait for the client's delayed ACK (40 ms) on a keep-alive connection
-    disable_nagle_algorithm = True
+class _Handler(socketserver.StreamRequestHandler):
+    """Answers the requests of one connection in order, until it closes."""
 
     def setup(self):
         self.timeout = IDLE_TIMEOUT_S  # read per connection, not at import
@@ -232,83 +479,66 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.microservice._track_inbound(self.connection, False)
         super().finish()
 
-    def log_message(self, *args):  # quiet
-        pass
-
-    def do_GET(self):
-        self._handle()
-
-    def do_POST(self):
-        # bodies are read and ignored; method-agnostic GET semantics.  Each
-        # send_error below also closes the connection
-        codings = self.headers.get_all("Transfer-Encoding")
-        if codings is None:
-            length = self.headers.get("Content-Length", "0")
-            if not (length.isascii() and length.isdigit()):
-                self.send_error(400, "malformed Content-Length")
-                return
-            self.rfile.read(int(length))
-        elif "Content-Length" in self.headers:
-            # RFC 9112 6.3: a message with both may be request smuggling
-            self.send_error(400, "both Transfer-Encoding and Content-Length")
-            return
-        elif [c.strip().lower() for c in ",".join(codings).split(",")] != ["chunked"]:
-            self.send_error(501, "unsupported transfer coding")
-            return
-        elif not self._discard_chunked_body():
-            self.send_error(400, "malformed chunked body")
-            return
-        self._handle()
-
-    def _discard_chunked_body(self) -> bool:
-        """Read a chunked body and its trailers (RFC 9112 7.1); False if malformed."""
-        while True:
-            size = self.rfile.readline(_MAX_LINE).split(b";", 1)[0].strip()
-            if not _CHUNK_SIZE_RE.fullmatch(size):
-                return False
-            left = int(size, 16)
-            if left == 0:
-                break
-            while left:
-                data = self.rfile.read(min(left, 65536))
-                if not data:
-                    return False
-                left -= len(data)
-            if self.rfile.readline(_MAX_LINE) not in (b"\r\n", b"\n"):
-                return False
-        while True:  # trailer fields, up to the empty line
-            line = self.rfile.readline(_MAX_LINE)
-            if line in (b"\r\n", b"\n"):
-                return True
-            if not line.endswith(b"\n"):  # the stream ended, or an overlong line
-                return False
-
-    def _send(self, status: int, body: bytes, ctype: str = "application/octet-stream"):
-        self.send_response(status)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _handle(self):
-        server: Microservice = self.server.microservice
-        path = self.path.split("?", 1)[0]
-        endpoint = server.endpoint(path)
-        if endpoint is None:
-            self._send(404, b"unknown entrypoint", "text/plain")
-            return
+    def handle(self):
         try:
-            status, body, ctype = server.handle_request(
-                endpoint, self.headers.get("traceparent")
-            )
+            while self._answer():
+                pass
+        except _Malformed as exc:
+            self._reply(exc.status, str(exc).encode(), "text/plain", close=True)
+
+    def _answer(self) -> bool:
+        """Read one request and answer it; False once the connection is to close."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return False
+        if len(line) > _MAX_LINE:
+            raise _Malformed(414, "request line too long")
+        words = line.split()
+        if len(words) != 3:
+            raise _Malformed(400, "malformed request line")
+        method, target, version = words
+        m = _VERSION_RE.fullmatch(version)
+        if m is None:
+            raise _Malformed(400, "malformed HTTP version")
+        if m[1] != b"1":
+            raise _Malformed(505, "HTTP version not supported")
+        http11 = m[2] != b"0"
+        fields = _read_fields(self.rfile)
+        if method not in (b"GET", b"POST"):
+            raise _Malformed(501, "unsupported method")
+        if http11 and fields.get("expect", "").lower() == "100-continue":
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        # a body is read and ignored: a POST is answered like a GET
+        length = _body_length(fields)
+        _skip_body(self.rfile, 0 if length is None else length)
+        keep = _keeps_alive(http11, fields)
+
+        server: Microservice = self.server.microservice
+        endpoint = server.endpoint(target.split(b"?", 1)[0].decode("latin-1"))
+        if endpoint is None:
+            self._reply(404, b"unknown entrypoint", "text/plain", not keep)
+            return keep
+        try:
+            status, body, ctype = server.handle_request(endpoint, fields.get("traceparent"))
         except Exception as exc:  # never crash the handler thread
-            self._send(500, f"internal error: {exc}".encode(), "text/plain")
-            return
-        self._send(status, body, ctype)
+            status, body, ctype = 500, f"internal error: {exc}".encode(), "text/plain"
+        self._reply(status, body, ctype, not keep)
+        return keep
+
+    def _reply(self, status: int, body: bytes, ctype: str, close: bool):
+        """Send a response in one write."""
+        closing = "Connection: close\r\n" if close else ""
+        head = (
+            f"HTTP/1.1 {status} {_REASONS[status]}\r\nServer: {_SERVER}\r\n"
+            f"Date: {_http_date()}\r\nContent-Type: {ctype}\r\n"
+            f"Content-Length: {len(body)}\r\n{closing}\r\n"
+        )
+        self.connection.sendall(head.encode("latin-1") + body)
 
 
-class _ServerV4(ThreadingHTTPServer):
+class _ServerV4(socketserver.ThreadingTCPServer):
     daemon_threads = True
+    allow_reuse_address = True
 
     def handle_error(self, request, client_address):
         # a client that fails its TLS handshake or drops its connection is
@@ -321,10 +551,19 @@ class _ServerV6(_ServerV4):
     address_family = socket.AF_INET6
 
 
-class Microservice:
+class Microservice(_HttpClient):
     """One service instance bound to a RuntimeConfig."""
 
     def __init__(self, config: RuntimeConfig, exporter: SpanExporter | None = None):
+        client_tls = None
+        if any(ds.scheme == "https" for ep in config.endpoints for ds in ep.downstreams):
+            import ssl
+
+            client_tls = ssl.create_default_context()
+            if config.tls and config.tls.get("ca"):
+                client_tls.load_verify_locations(config.tls["ca"])
+            client_tls.check_hostname = False
+        super().__init__(config.downstream_timeout_s, client_tls)
         self.config = config
         self._endpoints = {ep.entrypoint: ep for ep in config.endpoints}
         self._rng = (
@@ -340,24 +579,16 @@ class Microservice:
         self._server = server_cls((config.host, config.port), _Handler)
         self._server.microservice = self
         if config.scheme == "https":
+            import ssl
+
             ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             ctx.load_cert_chain(config.tls["cert"], config.tls["key"])
             # each handshake runs in its handler thread, not in the accept loop
             self._server.socket = ctx.wrap_socket(
                 self._server.socket, server_side=True, do_handshake_on_connect=False
             )
-        self._client_tls: ssl.SSLContext | None = None
-        if any(ds.scheme == "https" for ep in config.endpoints for ds in ep.downstreams):
-            self._client_tls = ssl.create_default_context()
-            if config.tls and config.tls.get("ca"):
-                self._client_tls.load_verify_locations(config.tls["ca"])
-            self._client_tls.check_hostname = False
-        # idle downstream connections by (scheme, address, port), shared by
-        # every handler thread; None once stopped
-        self._idle: dict[tuple[str, str, int], list[http.client.HTTPConnection]] | None = {}
         # accepted connections still open, for stop() to shut down
         self._inbound: set[socket.socket] = set()
-        self._conn_lock = threading.Lock()
         self._thread: threading.Thread | None = None
 
     @property
@@ -377,12 +608,9 @@ class Microservice:
         """Stop serving and close every connection, inbound and pooled."""
         self._server.shutdown()
         self._server.server_close()
+        self._close_pool()
         with self._conn_lock:
-            idle = [conn for conns in (self._idle or {}).values() for conn in conns]
-            self._idle = None
             inbound = list(self._inbound)
-        for conn in idle:
-            conn.close()  # ends the peer's handler thread for this connection
         for sock in inbound:
             try:
                 sock.shutdown(socket.SHUT_RDWR)  # ends our handler thread
@@ -453,61 +681,8 @@ class Microservice:
         return reply
 
     def _call_downstream(self, ds: Downstream, trace_id: str, span_id: str) -> bool:
-        key = (ds.scheme, ds.address, ds.port)
         headers = {"traceparent": format_traceparent(trace_id, span_id)}
-        stale_before = time.monotonic() - IDLE_TIMEOUT_S / 2
-        with self._conn_lock:
-            idle = self._idle.get(key) if self._idle is not None else None
-            stale = []
-            while idle and idle[0].pooled_at < stale_before:  # pooled oldest first
-                stale.append(idle.pop(0))
-            conn = idle.pop() if idle else None
-        for old in stale:
-            old.close()
-        if conn is not None:
-            try:
-                return self._exchange(key, conn, ds.url, headers)
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # the peer closed the idle connection: retry once, fresh
-        timeout = self.config.downstream_timeout_s
-        if ds.scheme == "https":
-            conn = http.client.HTTPSConnection(
-                ds.address, ds.port, timeout=timeout, context=self._client_tls
-            )
-        else:
-            conn = http.client.HTTPConnection(ds.address, ds.port, timeout=timeout)
-        try:
-            return self._exchange(key, conn, ds.url, headers)
-        except (ConnectionResetError, BrokenPipeError):
-            return False
-
-    def _exchange(
-        self, key: tuple[str, str, int], conn: http.client.HTTPConnection, url: str, headers: dict
-    ) -> bool:
-        """One GET on ``conn``, read in full; the connection is pooled after it.
-
-        Raises ConnectionResetError or BrokenPipeError (``RemoteDisconnected``
-        is one) when the connection broke before a status line arrived; every
-        other failure returns False.  A failed connection is closed.
-        """
-        resp = None
-        try:
-            conn.request("GET", url, headers=headers)
-            resp = conn.getresponse()
-            resp.read()
-        except (http.client.HTTPException, OSError, ValueError) as exc:
-            conn.close()
-            if resp is None and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
-                raise
-            return False
-        if not resp.will_close:
-            with self._conn_lock:
-                if self._idle is not None:
-                    conn.pooled_at = time.monotonic()
-                    self._idle.setdefault(key, []).append(conn)
-                    return resp.status == 200
-        conn.close()
-        return resp.status == 200
+        return self._request((ds.scheme, ds.address, ds.port), ds.url, headers) == 200
 
     def _track_inbound(self, sock: socket.socket, is_open: bool):
         with self._conn_lock:

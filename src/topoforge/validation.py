@@ -8,7 +8,6 @@ and runs capacity checks for the chosen address family.
 from __future__ import annotations
 
 import graphlib
-import math
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -30,14 +29,12 @@ from .model import (
     ConnectionSpec,
     EntitySpec,
     ImpairmentSpec,
-    Rate,
     RouterSpec,
     ServiceSpec,
     TimerSpec,
     TopologyConfig,
     format_number,
     merge_declarations,
-    show,
 )
 
 # Address-family capacity limits for the single-host deployment target.
@@ -149,13 +146,10 @@ def _check_impairments(entity: str, opt: ImpairmentSpec):
         value = getattr(opt, name)
         if value is None:
             continue
-        number = value.value if isinstance(value, Rate) else value
-        if not (kind.low <= number <= kind.high and number < math.inf):
-            end = f"{kind.high}]" if kind.high < math.inf else "inf)"
-            raise OptionRangeError(
-                f"{name} outside [{kind.low}, {end}, got {show(number)}", entity, name
-            )
-        if name == "rate" and number <= 0:
+        problem = kind.out_of_range(name, value)
+        if problem:
+            raise OptionRangeError(problem, entity, name)
+        if name == "rate" and value.value <= 0:
             raise OptionRangeError("rate must be > 0", entity, name)
     for key in ("jitter", "reorder"):
         if (getattr(opt, key) or 0) > 0 and (opt.delay or 0) <= 0:

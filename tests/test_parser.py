@@ -388,3 +388,22 @@ def test_serialize_parse_roundtrip(text):
 
 def test_fig4_roundtrip(fig4_config):
     assert tf.parse_config(tf.serialize_config(fig4_config)) == fig4_config
+
+
+# a document whose VALUE is an option's value: one that parses but is out of
+# the option's range, so that no literal reads back as the same value
+_OUT_OF_RANGE = {
+    "delay": _CONN + "          delay: VALUE\n",
+    "newValue": _CONN + "          delay: 5us\n          timers:\n            - option: delay\n"
+    "              start: 1\n              duration: 2\n              newValue: VALUE\n",
+}
+
+
+@pytest.mark.parametrize("value", [".inf", ".nan", "-1"])
+@pytest.mark.parametrize("field", list(_OUT_OF_RANGE))
+def test_out_of_range_value_is_not_serialized(field, value):
+    cfg = tf.parse_config(_OUT_OF_RANGE[field].replace("VALUE", value))
+    with pytest.raises(SchemaError) as ei:
+        tf.serialize_config(cfg)
+    assert (ei.value.entity, ei.value.field) == ("a", field)
+    assert "outside [0, inf)" in str(ei.value)

@@ -81,6 +81,7 @@ class _RawPeer:
     def __init__(self, replies):
         self.replies = list(replies)
         self.accepted = 0
+        self.received = b""  # every byte read, from all connections
         self._conns = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.port = self._listener.getsockname()[1]
@@ -105,6 +106,7 @@ class _RawPeer:
                     if not chunk:
                         return
                     buf += chunk
+                    self.received += chunk
                 _, buf = buf.split(b"\r\n\r\n", 1)
                 reply = self.replies.pop(0) if self.replies else None
                 if callable(reply):
@@ -815,3 +817,206 @@ class TestConfigLoading:
         )
         cfg = RuntimeConfig.load(str(path))
         assert cfg.endpoints[0].psize == 2
+
+
+def _read_response(rfile):
+    """(status line, lower-case fields, body) of one response read from ``rfile``."""
+    status = rfile.readline()
+    fields = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, value = line.decode().split(":", 1)
+        fields[name.lower()] = value.strip()
+    return status, fields, rfile.read(int(fields.get("content-length", 0)))
+
+
+def _leaf_conn(stack):
+    return socket.create_connection(("127.0.0.1", stack["leaf"].port), timeout=5)
+
+
+class TestRequestWire:
+    # each request ends where the server stops reading it: a byte left unread
+    # would turn the server's close into a reset, which may discard the
+    # answer before the client reads it (RFC 9112 9.6)
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GET /" + b"a" * (65537 - 16) + b" HTTP/1.1\r\n", 414),
+            (b"GET / HTTP/1.1\r\nX-Long: " + b"a" * (65537 - 10) + b"\r\n", 431),
+            (b"GET / HTTP/1.1\r\n" + b"".join(b"X-%d: a\r\n" % i for i in range(101)), 431),
+            (b"GET / HTTP/1.1 extra\r\n", 400),
+            (b"PUT / HTTP/1.1\r\nHost: leaf\r\n\r\n", 501),
+            (b"HEAD / HTTP/1.1\r\nHost: leaf\r\n\r\n", 501),
+            (b"get / HTTP/1.1\r\nHost: leaf\r\n\r\n", 501),
+            (b"GET / HTTP/2.0\r\n", 505),
+            (b"GET / HTTX/1.1\r\n", 400),
+            (b"GET /\r\n", 400),
+            (b"POST / HTTP/1.1\r\nHost: leaf\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\n", 400),
+            (b"GET / HTTP/1.1\r\nHost : leaf\r\n", 400),
+            (b"GET / HTTP/1.1\r\nX-Folded: a\r\n b\r\n", 400),
+            (b"GET / HTTP/1.1\r\nno colon\r\n", 400),
+        ],
+        ids=[
+            "long-request-line", "long-field-line", "101-fields", "four-words", "put", "head",
+            "lower-case-method", "http2", "not-http", "no-version", "differing-lengths",
+            "space-before-colon", "obs-fold", "no-colon",
+        ],
+    )
+    def test_refused_with_a_status_line_and_closed(self, stack, request_bytes, status, capfd):
+        with _leaf_conn(stack) as sock, sock.makefile("rb") as replies:
+            sock.sendall(request_bytes)
+            status_line, fields, _body = _read_response(replies)
+            assert replies.read() == b""  # the server closed the connection
+        assert status_line.startswith(b"HTTP/1.1 %d " % status)
+        assert fields["connection"] == "close"
+        assert capfd.readouterr().err == ""
+
+    def test_pipelined_requests_answered_in_order(self, stack):
+        get = b"GET %s HTTP/1.1\r\nHost: leaf\r\n%s\r\n"
+        with _leaf_conn(stack) as sock, sock.makefile("rb") as replies:
+            sock.sendall(get % (b"/?q=1", b"") + get % (b"/nope", b"") + get % (b"/", b"Connection: close\r\n"))
+            status, fields, body = _read_response(replies)  # the query string is ignored
+            assert status == b"HTTP/1.1 200 OK\r\n" and len(body) == 300
+            assert set(fields) == {"server", "date", "content-type", "content-length"}
+            assert fields["server"].startswith("topoforge-service ")
+            assert _read_response(replies)[0] == b"HTTP/1.1 404 Not Found\r\n"
+            status, fields, body = _read_response(replies)
+            assert status == b"HTTP/1.1 200 OK\r\n" and fields["connection"] == "close"
+            assert replies.read() == b""
+
+    @pytest.mark.parametrize("keep_alive", [False, True])
+    def test_http10_closed_unless_kept_alive(self, stack, keep_alive):
+        request = b"GET / HTTP/1.0\r\n" + b"Connection: keep-alive\r\n" * keep_alive + b"\r\n"
+        with _leaf_conn(stack) as sock, sock.makefile("rb") as replies:
+            sock.sendall(request)
+            status, _fields, body = _read_response(replies)
+            assert status == b"HTTP/1.1 200 OK\r\n" and len(body) == 300
+            if keep_alive:
+                sock.sendall(request)
+                assert _read_response(replies)[0] == b"HTTP/1.1 200 OK\r\n"
+            else:
+                assert replies.read() == b""
+
+    def test_100_continue_before_the_body(self, stack):
+        head = b"POST / HTTP/1.1\r\nHost: leaf\r\nExpect: 100-continue\r\nContent-Length: 5\r\n\r\n"
+        with _leaf_conn(stack) as sock, sock.makefile("rb") as replies:
+            sock.sendall(head)
+            assert replies.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert replies.readline() == b"\r\n"
+            sock.sendall(b"hello")
+            status, _fields, body = _read_response(replies)
+            assert status == b"HTTP/1.1 200 OK\r\n" and len(body) == 300
+
+    @pytest.mark.parametrize("seconds", [0, 951782400, 1767225599, 4102444800.5])
+    def test_date_is_an_imf_fixdate(self, seconds):
+        import email.utils
+
+        assert runtime._http_date(seconds) == email.utils.formatdate(seconds, usegmt=True)
+
+
+def _then_close(reply):
+    """A _RawPeer reply that sends ``reply`` and then closes its side."""
+
+    def send(conn):
+        conn.sendall(reply)
+        conn.shutdown(socket.SHUT_WR)
+
+    return send
+
+
+def _edge(peer):
+    """A service whose ``/`` calls ``peer`` as downstream 'd'."""
+    return _service("edge", [EndpointRuntime("/", 64, (Downstream("d", "127.0.0.1", peer.port, "/"),))])
+
+
+class TestDownstreamReplies:
+    @pytest.mark.parametrize(
+        "reply, pooled",
+        [
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+             b"2;x=y\r\nok\r\n0\r\nX-Trailer: t\r\n\r\n", True),
+            (_then_close(b"HTTP/1.1 200 OK\r\n\r\nread up to the close"), False),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok", False),
+            (b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok", False),
+        ],
+        ids=["chunked", "no-length", "connection-close", "http10"],
+    )
+    def test_reply_read_whole(self, reply, pooled):
+        peer = _RawPeer([reply, reply])
+        svc = _edge(peer)
+        try:
+            for _ in range(2):
+                status, body, _ = _get(svc.port, "/")
+                assert status == 200 and len(body) == 64
+            assert peer.accepted == (1 if pooled else 2)
+            assert [len(conns) for conns in svc._idle.values()] == ([1] if pooled else [])
+        finally:
+            svc.stop()
+            peer.close()
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nok",
+            b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-%d: a\r\n" % i for i in range(100))
+            + b"Content-Length: 2\r\n\r\nok",
+            b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\nContent-Length: 2\r\n\r\nok",
+            b"HTTP/1.1 200 " + b"O" * 65536 + b"\r\nContent-Length: 2\r\n\r\nok",
+        ],
+        ids=["differing-lengths", "101st-field", "long-field-line", "long-status-line"],
+    )
+    def test_unreadable_reply_is_502(self, reply):
+        peer = _RawPeer([reply])
+        svc = _edge(peer)
+        try:
+            with pytest.raises(urllib.error.HTTPError) as ei:
+                _get(svc.port, "/")
+            assert ei.value.code == 502
+            assert ei.value.read() == b"downstream 'd' failed"
+            assert svc._idle == {}
+        finally:
+            svc.stop()
+            peer.close()
+
+
+class TestCollectorDelivery:
+    def test_batches_posted_as_ndjson_on_one_connection(self):
+        peer = _RawPeer([_OK, _OK])
+        ex = SpanExporter(endpoint=f"http://127.0.0.1:{peer.port}/v1/traces")
+        records = [SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1) for i in range(2)]
+        body = (json.dumps(records[0].to_wire(), sort_keys=True) + "\n").encode()
+        try:
+            ex.export(records[0])
+            ex.flush()
+            deadline = time.monotonic() + 5
+            while not peer.received.endswith(body) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            head, sent = peer.received.split(b"\r\n\r\n", 1)
+            request_line, *lines = head.split(b"\r\n")
+            fields = dict(line.split(b": ", 1) for line in lines)
+            assert request_line == b"POST /v1/traces HTTP/1.1"
+            assert fields[b"Content-Type"] == b"application/x-ndjson"
+            assert fields[b"Content-Length"] == b"%d" % len(body)
+            assert sent == body
+            ex.export(records[1])
+            ex.flush()
+            assert ex.dropped == 0
+            assert peer.accepted == 1  # the second batch reused the connection
+        finally:
+            ex.close()
+            peer.close()
+
+    @pytest.mark.parametrize(
+        "endpoint, target",
+        [
+            ("http://10.0.0.2:4318/v1/traces", (("http", "10.0.0.2", 4318), "/v1/traces")),
+            ("http://[fd00::2]:4318/v1/traces", (("http", "fd00::2", 4318), "/v1/traces")),
+            ("https://collector", (("https", "collector", 443), "/")),
+            ("collector:4318", None),
+        ],
+    )
+    def test_collector_url(self, endpoint, target):
+        ex = SpanExporter(endpoint=endpoint)
+        try:
+            assert ex._target == target
+        finally:
+            ex.close()
