@@ -14,11 +14,13 @@ import json
 import os
 import random
 import re
+import select
 import socket
 import socketserver
 import sys
 import threading
 import time
+import urllib.parse
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -112,8 +114,10 @@ class SpanRecord:
 _MAX_LINE = 65536
 _MAX_FIELDS = 100
 # a field line is a token, a colon and a value between optional whitespace;
-# whitespace before the colon and an obs-fold line do not match (5.1, 5.2)
-_FIELD_RE = re.compile(rb"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):[ \t]*(.*?)[ \t]*\r?\n")
+# whitespace before the colon and an obs-fold line do not match (5.1, 5.2).
+# The whitespace is stripped after the match: a pattern with whitespace
+# quantifiers on both sides of the value backtracks in quadratic time.
+_FIELD_RE = re.compile(rb"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):(.*)\n")
 _VERSION_RE = re.compile(rb"HTTP/([0-9])\.([0-9])")
 _STATUS_RE = re.compile(rb"HTTP/1\.([0-9]) ([0-9]{3})(?: [^\r\n]*)?\r?\n")
 # the hex size of a chunk, and a Content-Length (int() refuses long numbers)
@@ -152,7 +156,8 @@ def _read_fields(rfile) -> dict[str, str]:
         m = _FIELD_RE.fullmatch(line)
         if m is None:  # also a head that the stream cut short
             raise _Malformed(400, "malformed field line")
-        name, value = m[1].decode().lower(), m[2].decode("latin-1")
+        name = m[1].decode().lower()
+        value = m[2].removesuffix(b"\r").strip(b" \t").decode("latin-1")
         fields[name] = f"{fields[name]}, {value}" if name in fields else value
     raise _Malformed(431, f"more than {_MAX_FIELDS} fields")
 
@@ -268,7 +273,10 @@ class _HttpClient:
         None if the request failed.
 
         A pooled connection that broke before a status line arrived has gone
-        stale while idle, and the request is retried once on a fresh one.
+        stale while idle, and the request is retried once on a fresh one.  A
+        POST is retried only if it could not be sent, since a peer may have
+        acted on it before the connection broke (RFC 9110 9.2.2); a pooled
+        connection the peer has already closed is not used for one.
         """
         stale_before = time.monotonic() - IDLE_TIMEOUT_S / 2
         with self._conn_lock:
@@ -277,6 +285,9 @@ class _HttpClient:
             while idle and idle[0].pooled_at < stale_before:
                 stale.append(idle.pop(0))
             conn = idle.pop() if idle else None
+        if conn is not None and body and select.select([conn.sock], [], [], 0)[0]:
+            stale.append(conn)  # an idle connection has nothing to read but its close
+            conn = None
         for old in stale:
             old.close()
         if conn is not None:
@@ -303,8 +314,9 @@ class _HttpClient:
         reply's status, or None if it could not be read.
 
         Raises ConnectionResetError or BrokenPipeError when the connection
-        broke before a status line arrived.  The connection is pooled after a
-        reply that keeps it open and closed otherwise.
+        broke before a status line arrived, for a POST only while it was sent.
+        The connection is pooled after a reply that keeps it open and closed
+        otherwise.
         """
         address, port = key[1:]
         host = f"[{address}]:{port}" if ":" in address else f"{address}:{port}"
@@ -313,13 +325,17 @@ class _HttpClient:
         )
         if body:
             head += f"Content-Length: {len(body[0])}\r\n"
+        sent = False
         try:
             conn.sock.sendall(head.encode("ascii") + b"\r\n" + b"".join(body))
+            sent = True
             line = conn.rfile.readline(_MAX_LINE + 1)
             if not line:
                 raise ConnectionResetError("connection closed before a status line")
         except (ConnectionResetError, BrokenPipeError):
             conn.close()
+            if body and sent:
+                return None
             raise
         except (OSError, ValueError):  # a timeout, or a url that is not ASCII
             conn.close()
@@ -347,8 +363,17 @@ class _HttpClient:
             conn.close()  # ends the peer's handler thread for this connection
 
 
-# an http(s) URL: scheme, bracketed or plain host, optional port and path
-_URL_RE = re.compile(r"(https?)://(?:\[([^\]/]*)\]|([^\[\]/:]+))(?::([0-9]{1,5}))?(/.*)?")
+def _collector_target(endpoint: str) -> tuple[tuple[str, str, int], str] | None:
+    """The (scheme, host, port) key and request target of an http(s) URL,
+    or None for any other URL."""
+    try:
+        url = urllib.parse.urlsplit(endpoint)
+        port = url.port or (443 if url.scheme == "https" else 80)
+    except ValueError:  # an unclosed bracket or a port out of range
+        return None
+    if url.scheme not in ("http", "https") or not url.hostname:
+        return None
+    return (url.scheme, url.hostname, port), (url.path or "/") + (f"?{url.query}" if url.query else "")
 
 
 class SpanExporter(_HttpClient):
@@ -360,14 +385,10 @@ class SpanExporter(_HttpClient):
     """
 
     def __init__(self, endpoint: str | None = None, sink_file: str | None = None, maxlen: int = 4096):
-        url = _URL_RE.fullmatch(endpoint) if endpoint else None
         # (key, path) of the collector; None if it has no http(s) URL
-        self._target = url and (
-            (url[1], url[2] or url[3], int(url[4] or (443 if url[1] == "https" else 80))),
-            url[5] or "/",
-        )
+        self._target = _collector_target(endpoint) if endpoint else None
         tls = None
-        if url and url[1] == "https":
+        if self._target and self._target[0][0] == "https":
             import ssl
 
             tls = ssl.create_default_context()

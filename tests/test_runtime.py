@@ -2,6 +2,7 @@
 
 import contextlib
 import http.client
+import io
 import itertools
 import json
 import random
@@ -896,6 +897,21 @@ class TestRequestWire:
             else:
                 assert replies.read() == b""
 
+    def test_long_whitespace_run_inside_a_value_read_in_linear_time(self, stack):
+        # a run of k blanks inside a value cost a backtracking field pattern
+        # about k*k/2 steps: tens of seconds for a line under the 64 KiB limit
+        request = b"GET / HTTP/1.1\r\nHost: leaf\r\nX-Blanks: a" + b" \t" * 30000 + b"b\r\n\r\n"
+        start = time.monotonic()
+        with _leaf_conn(stack) as sock, sock.makefile("rb") as replies:
+            sock.sendall(request)
+            status, _fields, body = _read_response(replies)
+        assert status == b"HTTP/1.1 200 OK\r\n" and len(body) == 300
+        assert time.monotonic() - start < 2
+
+    def test_field_values_stripped_of_surrounding_blanks(self):
+        head = io.BytesIO(b"A: \t v \t w \t\r\nB:x\nA:y\r\n\r\n")
+        assert runtime._read_fields(head) == {"a": "v \t w, y", "b": "x"}
+
     def test_100_continue_before_the_body(self, stack):
         head = b"POST / HTTP/1.1\r\nHost: leaf\r\nExpect: 100-continue\r\nContent-Length: 5\r\n\r\n"
         with _leaf_conn(stack) as sock, sock.makefile("rb") as replies:
@@ -1005,12 +1021,52 @@ class TestCollectorDelivery:
             ex.close()
             peer.close()
 
+    def test_post_not_resent_once_sent(self):
+        def reply_then_drop(conn):  # the peer may have stored the batch
+            conn.shutdown(socket.SHUT_RDWR)
+
+        peer = _RawPeer([_OK, reply_then_drop, _OK])
+        ex = SpanExporter(endpoint=f"http://127.0.0.1:{peer.port}/v1/traces")
+        try:
+            for i in range(2):
+                ex.export(SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1))
+                ex.flush()
+            assert ex.dropped == 1
+            assert peer.accepted == 1
+            assert peer.received.count(b"POST /v1/traces HTTP/1.1") == 2
+        finally:
+            ex.close()
+            peer.close()
+
+    def test_pooled_connection_closed_by_the_collector_not_used(self):
+        def reply_then_close(conn):
+            conn.sendall(_OK)
+            conn.close()
+
+        peer = _RawPeer([reply_then_close, _OK])
+        ex = SpanExporter(endpoint=f"http://127.0.0.1:{peer.port}/v1/traces")
+        try:
+            ex.export(SpanRecord("a" * 32, "0" * 16, None, "s0", 0, 1))
+            ex.flush()
+            time.sleep(0.1)  # the close reaches the pooled connection
+            ex.export(SpanRecord("a" * 32, "1" * 16, None, "s1", 1, 2))
+            ex.flush()
+            assert ex.dropped == 0
+            assert peer.accepted == 2
+        finally:
+            ex.close()
+            peer.close()
+
     @pytest.mark.parametrize(
         "endpoint, target",
         [
             ("http://10.0.0.2:4318/v1/traces", (("http", "10.0.0.2", 4318), "/v1/traces")),
             ("http://[fd00::2]:4318/v1/traces", (("http", "fd00::2", 4318), "/v1/traces")),
             ("https://collector", (("https", "collector", 443), "/")),
+            ("http://Collector:4318?x", (("http", "collector", 4318), "/?x")),
+            ("http://user@collector/v1/traces?a=b", (("http", "collector", 80), "/v1/traces?a=b")),
+            ("ftp://collector/", None),
+            ("http://[fd00::2/", None),
             ("collector:4318", None),
         ],
     )
