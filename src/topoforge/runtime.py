@@ -34,6 +34,8 @@ STOP_POLL_S = 0.02
 # an accepted connection that sends no request for this long is closed; a
 # caller closes its pooled connections after half of it, before the peer does
 IDLE_TIMEOUT_S = 60.0
+# the most spans an exporter queues; past it the oldest are dropped first
+SPAN_QUEUE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -285,9 +287,12 @@ class _HttpClient:
             while idle and idle[0].pooled_at < stale_before:
                 stale.append(idle.pop(0))
             conn = idle.pop() if idle else None
-        if conn is not None and body and select.select([conn.sock], [], [], 0)[0]:
-            stale.append(conn)  # an idle connection has nothing to read but its close
-            conn = None
+        if conn is not None and body:
+            poller = select.poll()  # select.select refuses a descriptor above 1023
+            poller.register(conn.sock, select.POLLIN)
+            if poller.poll(0):  # an idle connection has nothing to read but its close
+                stale.append(conn)
+                conn = None
         for old in stale:
             old.close()
         if conn is not None:
@@ -379,12 +384,13 @@ def _collector_target(endpoint: str) -> tuple[tuple[str, str, int], str] | None:
 class SpanExporter(_HttpClient):
     """Best-effort asynchronous span delivery behind a bounded queue.
 
-    Overflow drops the oldest record and increments ``dropped``; export
-    never blocks the request path.  Each batch is POSTed to ``endpoint`` as
-    ndjson over a kept-alive connection, and appended to ``sink_file``.
+    Export never blocks the request path.  Each batch is POSTed to
+    ``endpoint`` as ndjson over a kept-alive connection, and appended to
+    ``sink_file``.  ``dropped`` counts each span lost: pushed out of a full
+    queue, exported after close(), or in a batch a destination failed.
     """
 
-    def __init__(self, endpoint: str | None = None, sink_file: str | None = None, maxlen: int = 4096):
+    def __init__(self, endpoint: str | None = None, sink_file: str | None = None):
         # (key, path) of the collector; None if it has no http(s) URL
         self._target = _collector_target(endpoint) if endpoint else None
         tls = None
@@ -396,68 +402,65 @@ class SpanExporter(_HttpClient):
         self.endpoint = endpoint
         self.sink_file = sink_file
         self.dropped = 0
-        self._queue: deque[SpanRecord] = deque()
-        self._delivering = False  # a drained batch is still being written
-        self._maxlen = maxlen
-        self._lock = threading.Lock()
-        self._delivered = threading.Condition(self._lock)  # notified after each batch
-        self._wake = threading.Event()
+        # guards the queue, the count of spans queued or in delivery, and closed
+        self._cond = threading.Condition()
+        self._queue: deque[SpanRecord] = deque(maxlen=SPAN_QUEUE_LIMIT)
+        self._pending = 0
         self._closed = False
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
 
-    def export(self, record: SpanRecord):
-        with self._lock:
-            if len(self._queue) >= self._maxlen:
-                self._queue.popleft()
-                self.dropped += 1
-            self._queue.append(record)
-        self._wake.set()
-
-    def _drain(self) -> list[SpanRecord]:
-        with self._lock:
-            batch = list(self._queue)
-            self._queue.clear()
-            self._delivering = bool(batch)
-        return batch
+    def export(self, records: list[SpanRecord]):
+        """Queue the spans of one request."""
+        with self._cond:
+            if self._closed:
+                self.dropped += len(records)
+                return
+            overflow = max(0, len(self._queue) + len(records) - SPAN_QUEUE_LIMIT)
+            self._queue.extend(records)  # the deque drops the oldest itself
+            self.dropped += overflow
+            self._pending += len(records) - overflow
+            self._cond.notify_all()
 
     def _run(self):
-        while not (self._closed and not self._queue):
-            self._wake.wait()
-            self._wake.clear()
-            batch = self._drain()
-            if batch:
-                self._deliver(batch)
-                with self._lock:
-                    self._delivering = False
-                    self._delivered.notify_all()
+        batch, lost = [], 0
+        while True:
+            with self._cond:
+                self.dropped += lost
+                self._pending -= len(batch)
+                self._cond.notify_all()
+                self._cond.wait_for(lambda: self._queue or self._closed)
+                if not self._queue:
+                    return
+                batch, self._queue = self._queue, deque(maxlen=SPAN_QUEUE_LIMIT)
+            lost = self._deliver(batch)
 
-    def _deliver(self, batch: list[SpanRecord]):
+    def _deliver(self, batch: deque[SpanRecord]) -> int:
+        """Write ``batch`` to each destination; returns how many spans it lost."""
         payload = "\n".join(json.dumps(r.to_wire(), sort_keys=True) for r in batch) + "\n"
-        lost = False  # a span is dropped once, however many destinations fail
+        ok = True
         if self.sink_file:
             try:
                 with open(self.sink_file, "a") as fh:
                     fh.write(payload)
             except OSError:
-                lost = True
+                ok = False
         if self.endpoint:
             status = self._target and self._request(
                 *self._target, {"Content-Type": "application/x-ndjson"}, payload.encode()
             )
-            lost = lost or not (status and 200 <= status < 300)
-        if lost:
-            with self._lock:  # export() counts overflow drops concurrently
-                self.dropped += len(batch)
+            ok = ok and bool(status and 200 <= status < 300)
+        return 0 if ok else len(batch)
 
     def flush(self, timeout: float = 2.0):
-        """Wait until every exported span has been delivered (or ``timeout``)."""
-        with self._lock:
-            self._delivered.wait_for(lambda: not self._queue and not self._delivering, timeout)
+        """Wait until every exported span has been delivered or dropped (or ``timeout``)."""
+        with self._cond:
+            self._cond.wait_for(lambda: not self._pending, timeout)
 
     def close(self):
-        self._closed = True
-        self._wake.set()
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
         self.flush()
         self._close_pool()
 
@@ -575,7 +578,7 @@ class _ServerV6(_ServerV4):
 class Microservice(_HttpClient):
     """One service instance bound to a RuntimeConfig."""
 
-    def __init__(self, config: RuntimeConfig, exporter: SpanExporter | None = None):
+    def __init__(self, config: RuntimeConfig):
         client_tls = None
         if any(ds.scheme == "https" for ep in config.endpoints for ds in ep.downstreams):
             import ssl
@@ -591,11 +594,9 @@ class Microservice(_HttpClient):
             random.Random(config.payload_seed) if config.payload_seed is not None else None
         )
         self._rng_lock = threading.Lock()
-        self.exporter = exporter
-        # deploy hands a service its collector in the environment
-        collector = os.environ.get("TRACE_COLLECTOR_ENDPOINT")
-        if exporter is None and (collector or config.span_sink_file):
-            self.exporter = SpanExporter(collector, config.span_sink_file)
+        collector = os.environ.get("TRACE_COLLECTOR_ENDPOINT")  # deploy sets it
+        sink = config.span_sink_file
+        self.exporter = SpanExporter(collector, sink) if collector or sink else None
         server_cls = _ServerV6 if config.family == "v6" else _ServerV4
         self._server = server_cls((config.host, config.port), _Handler)
         self._server.microservice = self
@@ -697,8 +698,7 @@ class Microservice(_HttpClient):
                 )
                 for span_id, ds, start, end, ok in calls
             )
-            for record in spans:
-                self.exporter.export(record)
+            self.exporter.export(spans)
         return reply
 
     def _call_downstream(self, ds: Downstream, trace_id: str, span_id: str) -> bool:

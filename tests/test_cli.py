@@ -135,6 +135,24 @@ def test_simulate_json(capsys):
     assert report["failed"] == 0
 
 
+def test_simulate_text_golden(capsys):
+    assert cli.main(["simulate", FIG4, "--duration", "0.05"]) == 0
+    assert capsys.readouterr().out == (DATA / "simulate_fig4.txt").read_text()
+
+
+def test_simulate_text_names_timers(tmp_path, capsys):
+    timer = (
+        "          rate: 100mbit\n          timers:\n            - option: rate\n"
+        "              start: 0.01\n              duration: 0.02\n              newValue: 1gbit\n"
+    )
+    config = tmp_path / "timer.yml"
+    config.write_text(loss_chain_config(0).replace("          url: /\n", "          url: /\n" + timer))
+    assert cli.main(["simulate", str(config), "--duration", "0.05"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:-1] == ["timer        t=0.01s a<->r rate", "timer        t=0.03s a<->r rate"]
+    assert lines[-1].startswith("event digest ")
+
+
 def test_simulate_max_rate_prints_the_bound(monkeypatch, capsys):
     monkeypatch.setattr("topoforge.maxrate._probe", lambda *args: 48_822.0)
     assert cli.main(["simulate", FIG4, "--max-rate"]) == 0

@@ -5,7 +5,9 @@ import http.client
 import io
 import itertools
 import json
+import os
 import random
+import resource
 import socket
 import ssl
 import struct
@@ -19,6 +21,7 @@ import pytest
 
 from topoforge import runtime, tls
 from topoforge.runtime import (
+    SPAN_QUEUE_LIMIT,
     Downstream,
     EndpointRuntime,
     Microservice,
@@ -359,6 +362,14 @@ class TestTracing:
         assert len(calls) == 2
         for call in calls:
             assert server["startNs"] <= call["startNs"] <= call["endNs"] <= server["endNs"]
+
+    def test_spans_of_a_request_handed_over_at_once(self, stack):
+        exporter = stack["front"].exporter
+        handed = []
+        export = exporter.export
+        exporter.export = lambda records: (handed.append([r.name for r in records]), export(records))
+        _get(stack["front"].port, "/")
+        assert handed == [["front/", "call mid/", "call leaf/"]]
 
     def test_fresh_trace_id_without_header(self, stack):
         _get(stack["leaf"].port, "/")
@@ -706,21 +717,25 @@ class TestSpanExporter:
         sink = tmp_path / "out.ndjson"
         ex = SpanExporter(sink_file=str(sink))
         for i in range(5):
-            ex.export(SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1))
+            ex.export([SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1)])
         ex.close()
         spans = _read_spans(sink)
         assert [s["name"] for s in spans] == [f"s{i}" for i in range(5)]
 
     def test_overflow_drops_oldest(self, tmp_path):
-        ex = SpanExporter(sink_file=str(tmp_path / "x.ndjson"), maxlen=2)
-        ex._drain = lambda: []  # hold the worker back while overflowing
-        for i in range(5):
-            ex.export(SpanRecord("a" * 32, "b" * 16, None, f"s{i}", 0, 1))
-        assert ex.dropped == 3
-        with ex._lock:
-            assert [r.name for r in ex._queue] == ["s3", "s4"]
-        del ex._drain
+        sink = tmp_path / "x.ndjson"
+        ex = SpanExporter(sink_file=str(sink))
+        records = [
+            SpanRecord("a" * 32, "b" * 16, None, f"s{i}", 0, 1) for i in range(SPAN_QUEUE_LIMIT + 3)
+        ]
+        with ex._cond:  # hold the worker back while overflowing
+            ex.export(records[:2])
+            ex.export(records[2:])
+            assert ex.dropped == 3
+            assert [r.name for r in ex._queue] == [r.name for r in records[3:]]
         ex.close()
+        assert [s["name"] for s in _read_spans(sink)] == [r.name for r in records[3:]]
+        assert ex.dropped == 3
 
     def test_flush_waits_for_batch_in_delivery(self, tmp_path):
         sink = tmp_path / "out.ndjson"
@@ -729,13 +744,13 @@ class TestSpanExporter:
 
         def slow_deliver(batch):
             time.sleep(0.3)
-            deliver(batch)
+            return deliver(batch)
 
         ex._deliver = slow_deliver
-        ex.export(SpanRecord("a" * 32, "b" * 16, None, "s0", 0, 1))
+        ex.export([SpanRecord("a" * 32, "b" * 16, None, "s0", 0, 1)])
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline:
-            with ex._lock:
+            with ex._cond:
                 if not ex._queue:
                     break
             time.sleep(0.005)
@@ -751,11 +766,51 @@ class TestSpanExporter:
         # nothing listens on the port any more: every POST is refused
         ex = SpanExporter(endpoint=f"http://127.0.0.1:{port}/v1/traces")
         for i in range(3):
-            ex.export(SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1))
+            ex.export([SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1)])
         ex.close()
         ex._thread.join(timeout=5)
         assert not ex._thread.is_alive()
         assert ex.dropped == 3
+
+    def test_failed_sink_write_counted(self, tmp_path):
+        ex = SpanExporter(sink_file=str(tmp_path / "missing" / "out.ndjson"))
+        ex.export([SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1) for i in range(3)])
+        ex.close()
+        assert ex.dropped == 3
+
+    def test_export_after_close_dropped(self, tmp_path):
+        sink = tmp_path / "out.ndjson"
+        ex = SpanExporter(sink_file=str(sink))
+        records = [SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1) for i in range(3)]
+        ex.export(records[:1])
+        ex.close()
+        ex.export(records[1:])  # a handler finishing its request during stop()
+        assert ex.dropped == 2
+        start = time.monotonic()
+        ex.flush()
+        assert time.monotonic() - start < 0.5  # nothing is left to wait for
+        assert [s["name"] for s in _read_spans(sink)] == ["s0"]
+
+    def test_every_span_delivered_or_dropped_under_contention(self, tmp_path):
+        sink = tmp_path / "out.ndjson"
+        ex = SpanExporter(sink_file=str(sink))
+        records = [SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1) for i in range(4)]
+        threads = [
+            threading.Thread(target=lambda: [ex.export(records) for _ in range(300)])
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            ex.close()  # while exports still run: the later ones are dropped
+            for t in [*threads, ex._thread]:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(sink.read_text().splitlines()) + ex.dropped == 8 * 300 * 4
 
     def test_collector_endpoint_from_the_environment(self, monkeypatch):
         endpoint = "http://127.0.0.1:4318/v1/traces"
@@ -1001,7 +1056,7 @@ class TestCollectorDelivery:
         records = [SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1) for i in range(2)]
         body = (json.dumps(records[0].to_wire(), sort_keys=True) + "\n").encode()
         try:
-            ex.export(records[0])
+            ex.export(records[:1])
             ex.flush()
             deadline = time.monotonic() + 5
             while not peer.received.endswith(body) and time.monotonic() < deadline:
@@ -1013,7 +1068,7 @@ class TestCollectorDelivery:
             assert fields[b"Content-Type"] == b"application/x-ndjson"
             assert fields[b"Content-Length"] == b"%d" % len(body)
             assert sent == body
-            ex.export(records[1])
+            ex.export(records[1:])
             ex.flush()
             assert ex.dropped == 0
             assert peer.accepted == 1  # the second batch reused the connection
@@ -1029,7 +1084,7 @@ class TestCollectorDelivery:
         ex = SpanExporter(endpoint=f"http://127.0.0.1:{peer.port}/v1/traces")
         try:
             for i in range(2):
-                ex.export(SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1))
+                ex.export([SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1)])
                 ex.flush()
             assert ex.dropped == 1
             assert peer.accepted == 1
@@ -1046,16 +1101,42 @@ class TestCollectorDelivery:
         peer = _RawPeer([reply_then_close, _OK])
         ex = SpanExporter(endpoint=f"http://127.0.0.1:{peer.port}/v1/traces")
         try:
-            ex.export(SpanRecord("a" * 32, "0" * 16, None, "s0", 0, 1))
+            ex.export([SpanRecord("a" * 32, "0" * 16, None, "s0", 0, 1)])
             ex.flush()
             time.sleep(0.1)  # the close reaches the pooled connection
-            ex.export(SpanRecord("a" * 32, "1" * 16, None, "s1", 1, 2))
+            ex.export([SpanRecord("a" * 32, "1" * 16, None, "s1", 1, 2)])
             ex.flush()
             assert ex.dropped == 0
             assert peer.accepted == 2
         finally:
             ex.close()
             peer.close()
+
+    def test_pooled_connection_above_descriptor_1023(self):
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if hard != resource.RLIM_INFINITY and hard < 1200:
+            pytest.skip(f"hard descriptor limit {hard} is below 1200")
+        resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, 1200), hard))
+        fds = []
+        peer = _RawPeer([_OK, _OK])
+        try:
+            fds += [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+            # the collector connection opens after them, above descriptor 1023
+            ex = SpanExporter(endpoint=f"http://127.0.0.1:{peer.port}/v1/traces")
+            try:
+                for i in range(2):
+                    ex.export([SpanRecord("a" * 32, f"{i:016d}", None, f"s{i}", i, i + 1)])
+                    ex.flush()
+                assert ex.dropped == 0
+                assert peer.accepted == 1  # the second batch used the pooled connection
+                assert ex._thread.is_alive()
+            finally:
+                ex.close()
+        finally:
+            for fd in fds:
+                os.close(fd)
+            peer.close()
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
     @pytest.mark.parametrize(
         "endpoint, target",
