@@ -86,12 +86,6 @@ class DeploymentPlan:
     # relative file name -> bytes, written next to the emitted documents
     materials: dict[str, bytes] = field(default_factory=dict)
 
-    def container(self, name: str) -> ContainerSpec:
-        for c in self.containers:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def main_command(c: ContainerSpec) -> str:
     """Command line of the container's main process."""

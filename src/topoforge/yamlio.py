@@ -1,9 +1,10 @@
 """The YAML backend every load and dump in topoforge goes through.
 
 libyaml's C classes when PyYAML was built with them, else PyYAML's
-pure-Python classes.  ``load`` builds what SafeLoader builds, in one walk
-over the composed node tree, but raises ``ConfigSyntaxError`` at its line
-for any error, a duplicate or unhashable key or nesting deeper than
+pure-Python classes.  ``load`` builds what SafeLoader builds, in one pass
+over the parser's events with no node tree, but raises ``ConfigSyntaxError``
+at its line for any error, a duplicate or unhashable key, a tagged
+collection or nesting deeper than
 ``MAX_DEPTH`` included.  ``dump`` walks the document's dicts, lists and scalars
 itself and feeds the emitter a stream of ``yaml.events``, so no node tree is
 built and no representer runs.  Both emitters write the same bytes for that
@@ -17,8 +18,10 @@ from __future__ import annotations
 from itertools import chain
 
 import yaml
+from yaml.composer import Composer, ComposerError
 from yaml.constructor import ConstructorError, SafeConstructor
-from yaml.events import CollectionEndEvent, CollectionStartEvent, ScalarEvent
+from yaml.events import AliasEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent
+from yaml.events import ScalarEvent, SequenceEndEvent, SequenceStartEvent
 from yaml.representer import RepresenterError, SafeRepresenter
 from yaml.resolver import Resolver
 
@@ -28,12 +31,14 @@ Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 WIDTH = 100000
-# collections open at once: the config schema nests 8 deep, and both
-# composers recurse once per level, libyaml's on the C stack
+# collections open at once: the config schema nests 8 deep, and code that
+# recurses once per level, as repr and == do, stops at 1000 levels
 MAX_DEPTH = 200
 
 _STR_TAG = Resolver.DEFAULT_SCALAR_TAG
-_resolve = Resolver().resolve
+# the tag a collection may carry, besides none and the non-specific "!"
+_TAGS = {MappingStartEvent: "tag:yaml.org,2002:map", SequenceStartEvent: "tag:yaml.org,2002:seq"}
+_KEY, _ITEM = object(), object()  # what an open mapping or sequence awaits next
 # the text and tag that SafeDumper writes for every other scalar
 _represent = SafeRepresenter()
 _SCALARS = {
@@ -52,90 +57,117 @@ _SEQ_END = yaml.SequenceEndEvent()
 def load(text: str):
     """The single document in ``text`` as dicts, lists and scalars; None if it is empty.
 
-    As in SafeConstructor, an alias shares its anchor's value, and a mapping is built when
-    met but a sequence after the mapping holding it: so the same error comes first, and a
-    sequence can hold itself but a mapping cannot.
+    A value that cannot be built does not stop the pass, so that a syntax error anywhere
+    comes first.  Of several, the one raised is the first in building order: a mapping is
+    built when met, and a sequence filled after the mapping holding it, breadth first.
     """
-    constructor = SafeConstructor()
-    built = {}
-    open_mappings = set()
-    unfilled = []  # (list, item nodes), in the order SafeConstructor fills them
+    constructor, anchors, errors, stack = SafeConstructor(), {}, {}, []
+    # the innermost open collection: the list or dict being filled, what it awaits (_ITEM,
+    # _KEY or a key's value), the place in the filling order of the sequence it lies in,
+    # and its start event; the root value goes into a list of its own
+    top = doc = []
+    pending, fill, opened = _ITEM, (0,), None
 
-    def build(node):
-        if node.tag == _STR_TAG and type(node) is yaml.ScalarNode:
-            return node.value
-        if node in built:
-            return built[node]
-        if node.tag == Resolver.DEFAULT_MAPPING_TAG and type(node) is yaml.MappingNode:
-            if node in open_mappings:
-                raise ConstructorError(
-                    None, None, "found unconstructable recursive node", node.start_mark
-                )
-            open_mappings.add(node)
-            value = {}
-            for key_node, value_node in node.value:
-                key = build(key_node)
-                try:
-                    duplicate = key in value
-                except TypeError:
-                    raise ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        "found unhashable key", key_node.start_mark,
-                    ) from None
-                if duplicate:
-                    raise ConfigSyntaxError(
-                        f"duplicate key {key!r}", line=key_node.start_mark.line + 1
-                    )
-                value[key] = build(value_node)
-            open_mappings.remove(node)
-        elif node.tag == Resolver.DEFAULT_SEQUENCE_TAG and type(node) is yaml.SequenceNode:
-            value = []
-            unfilled.append((value, node.value))
-        else:
-            try:
-                value = constructor.construct_document(node)
-            except (ValueError, KeyError, AttributeError):
-                # SafeConstructor's own parse of a malformed scalar, as in
-                # ``0b_`` or ``!!bool maybe``
-                raise ConstructorError(
-                    None, None, f"could not construct a value for the tag {node.tag!r}",
-                    node.start_mark,
-                ) from None
-        built[node] = value
-        return value
+    def fail(error):  # keeps the first error at the current event; the value reads None
+        errors.setdefault((fill, index), error)
 
     try:
-        # a flow collection opens at a bracket and a block one needs a column,
-        # so only brackets or a long line can nest that deep
-        if text.count("[") + text.count("{") + max(map(len, text.split("\n"))) > MAX_DEPTH:
-            _check_depth(text)
-        root = yaml.compose(text, Loader=Loader)
-        doc = None if root is None else build(root)
-        for items, nodes in unfilled:  # grows as the sequences it fills are built
-            items.extend([build(node) for node in nodes])
-        return doc
+        for index, event in enumerate(yaml.parse(text, Loader=Loader)):
+            kind = type(event)
+            if kind is ScalarEvent:
+                value, tag, node = event.value, event.tag, event
+                if tag is None or tag == "!":
+                    tag = _plain_tag(value) if event.implicit[0] else _STR_TAG
+                if tag != _STR_TAG:
+                    try:
+                        value = constructor.construct_document(
+                            yaml.ScalarNode(tag, value, event.start_mark, event.end_mark))
+                    except ConstructorError as exc:
+                        value = fail(exc)
+                    except (ValueError, KeyError, AttributeError):  # as in ``0b_``, ``!!bool x``
+                        problem = f"could not construct a value for the tag {tag!r}"
+                        value = fail(ConstructorError(None, None, problem, event.start_mark))
+                if event.anchor is not None:
+                    _anchor(anchors, event, value)
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                if event.tag not in (None, "!", _TAGS[kind]):
+                    problem = f"found the unsupported tag {event.tag!r}"
+                    fail(ConstructorError(None, None, problem, event.start_mark))
+                stack.append((top, pending, fill, opened))
+                if len(stack) > MAX_DEPTH:
+                    line = event.start_mark.line + 1
+                    raise ConfigSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", line=line)
+                if kind is MappingStartEvent:
+                    top, pending = {}, _KEY
+                else:  # sequences fill a level at a time, in their parents' order, then their own
+                    top, pending, fill = [], _ITEM, (fill[0] + 1, fill, index)
+                opened = event
+                if event.anchor is not None:
+                    _anchor(anchors, event, top)
+                continue
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                value, node = top, opened
+                top, pending, fill, opened = stack.pop()
+            elif kind is AliasEvent:
+                if event.anchor not in anchors:
+                    problem = _naming("found undefined alias", event.anchor)
+                    raise ComposerError(None, None, problem, event.start_mark)
+                value, node = anchors[event.anchor]
+                # a mapping still open, with no sequence in between, cannot hold itself
+                for holder in chain((top,), (frame[0] for frame in reversed(stack))):
+                    if holder is value and type(value) is dict:
+                        problem = "found unconstructable recursive node"
+                        fail(ConstructorError(None, None, problem, node.start_mark))
+                    if holder is value or type(holder) is list:
+                        break
+            else:  # the stream's or a document's start or end
+                if kind is DocumentStartEvent and doc:  # ``node`` still starts the first root
+                    raise ComposerError("expected a single document in the stream", node.start_mark,
+                                        "but found another document", event.start_mark)
+                continue
+            if pending is _ITEM:
+                top.append(value)
+            elif pending is not _KEY:
+                top[pending] = value
+                pending = _KEY
+            else:  # a key, checked before its value is built
+                try:
+                    if value in top:
+                        line = node.start_mark.line + 1
+                        fail(ConfigSyntaxError(f"duplicate key {value!r}", line=line))
+                except TypeError:
+                    fail(ConstructorError("while constructing a mapping", opened.start_mark,
+                                          "found unhashable key", node.start_mark))
+                    value = object()  # stands in for the key, so that the pass goes on
+                pending = value
+        if errors:
+            raise errors[min(errors)]
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ConfigSyntaxError(str(exc), line=mark and mark.line + 1) from exc
-    finally:
-        del build  # it calls itself: a reference cycle that would keep every node until GC
+    return doc[0] if doc else None
 
 
-def _check_depth(text: str):
-    depth = 0
-    try:
-        for event in yaml.parse(text, Loader=Loader):
-            if isinstance(event, CollectionStartEvent):
-                depth += 1
-                if depth > MAX_DEPTH:
-                    raise ConfigSyntaxError(
-                        f"nesting deeper than {MAX_DEPTH} levels",
-                        line=event.start_mark.line + 1,
-                    )
-            elif isinstance(event, CollectionEndEvent):
-                depth -= 1
-    except yaml.YAMLError:
-        pass  # compose stops at this error, or an earlier one, and reports it
+def _plain_tag(value: str) -> str:
+    """The tag that a plain scalar reading ``value`` resolves to."""
+    for tag, pattern in Resolver.yaml_implicit_resolvers.get(value[:1], ()):
+        if pattern.match(value):
+            return tag
+    return _STR_TAG
+
+
+def _anchor(anchors: dict, event, value):
+    """Remember an anchored node's value; an anchor may be given only once."""
+    if event.anchor in anchors:
+        problem = f"{_naming('found duplicate anchor', event.anchor)}; first occurrence"
+        first = anchors[event.anchor][1].start_mark
+        raise ComposerError(problem, first, "second occurrence", event.start_mark)
+    anchors[event.anchor] = value, event
+
+
+def _naming(problem: str, anchor: str) -> str:
+    # the composers word an anchor error alike, but only PyYAML's names the anchor
+    return f"{problem} {anchor!r}" if issubclass(Loader, Composer) else problem
 
 
 def dump(doc) -> str:
@@ -158,8 +190,7 @@ def _document(doc):
             if kind is str:
                 implicit = plain.get(data)
                 if implicit is None:
-                    resolved = _resolve(yaml.ScalarNode, data, (True, False))
-                    implicit = plain[data] = (resolved == _STR_TAG, True)
+                    implicit = plain[data] = (_plain_tag(data) == _STR_TAG, True)
                 yield ScalarEvent(None, _STR_TAG, implicit, data)
             elif kind is dict:
                 yield _MAP_START

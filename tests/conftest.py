@@ -31,6 +31,12 @@ def make_topology(text: str):
     return tf.validate(tf.parse_config(text))
 
 
+def container(plan, name: str):
+    """The container ``name`` of a deployment plan."""
+    (found,) = [c for c in plan.containers if c.name == name]
+    return found
+
+
 def chain_config(n: int) -> str:
     """n services in a call chain s0 -> s1 -> ... -> s{n-1}, all direct."""
     parts = []

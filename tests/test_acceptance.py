@@ -27,6 +27,7 @@ from topoforge.validation import check_capacity
 from conftest import (
     breadth_config,
     chain_config,
+    container,
     delay_chain_config,
     depth_config,
     loss_chain_config,
@@ -52,7 +53,7 @@ def test_criterion_01_fig4_end_to_end(fig4_text):
     assert doc["services"]["frontend"]["ports"] == ["80:80"]
     script = doc["services"]["frontend"]["command"][2]
     assert "tc qdisc add dev eth1 root netem rate 100mbit" in script
-    timers = plan.container("frontend").timer_script
+    timers = container(plan, "frontend").timer_script
     assert "sleep 10\ntc qdisc change dev eth1 root netem rate 1gbit" in timers
     assert "sleep 30\ntc qdisc change dev eth1 root netem rate 100mbit" in timers
 

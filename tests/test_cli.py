@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from cryptography import x509
+from cryptography.hazmat.primitives import serialization
 
 import topoforge
 from topoforge import cli
@@ -86,6 +88,25 @@ def test_image_environment_variables(tmp_path, monkeypatch):
         "payment": "registry.local/svc:1", "r1": "registry.local/rtr:1",
         "jaeger": "registry.local/col:1",
     }
+
+
+def test_generate_compose_https_writes_every_mounted_certificate(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["generate", FIG4, "--https", "--output", str(out)]) == 0
+    services = yaml.safe_load((out / "compose.yml").read_text())["services"]
+    mounted = {v.split(":")[0] for svc in services.values() for v in svc.get("volumes", [])}
+    assert all((out / path).is_file() for path in mounted)
+    leaves = ("frontend", "db", "payment")
+    assert {path for path in mounted if path.startswith("./certs/")} == {
+        "./certs/ca.crt", *(f"./certs/{name}.{ext}" for name in leaves for ext in ("crt", "key"))
+    }
+    ca = x509.load_pem_x509_certificate((out / "certs/ca.crt").read_bytes())
+    raw = (serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+    for name in leaves:
+        leaf = x509.load_pem_x509_certificate((out / f"certs/{name}.crt").read_bytes())
+        leaf.verify_directly_issued_by(ca)  # raises unless the authority signed it
+        key = serialization.load_pem_private_key((out / f"certs/{name}.key").read_bytes(), None)
+        assert key.public_key().public_bytes(*raw) == leaf.public_key().public_bytes(*raw)
 
 
 def test_generate_k8s_writes_only_manifests(tmp_path):

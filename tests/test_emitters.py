@@ -20,6 +20,8 @@ from topoforge.deploy import (
 )
 from topoforge.errors import OptionConflictError
 
+from conftest import container
+
 DATA = Path(__file__).parent / "data"
 SHOP = Path(__file__).parent.parent / "topologies" / "shop_demo.yml"
 ALL_FLAGS = dict(family="v6", scheme="https", tracing=True, ioam=True)
@@ -103,7 +105,7 @@ class TestCompose:
 class TestRuntimeConfigPayload:
     def test_downstreams(self, fig4_topology):
         np, plan = _plan(fig4_topology)
-        cfg = plan.container("frontend").config_payload
+        cfg = container(plan, "frontend").config_payload
         assert cfg["name"] == "frontend"
         assert cfg["port"] == 80
         by_ep = {ep["entrypoint"]: ep for ep in cfg["endpoints"]}
@@ -120,7 +122,7 @@ class TestRuntimeConfigPayload:
 
     def test_leaf_has_no_downstreams(self, fig4_topology):
         _np, plan = _plan(fig4_topology)
-        cfg = plan.container("db").config_payload
+        cfg = container(plan, "db").config_payload
         assert cfg["endpoints"][0]["downstreams"] == []
 
     @pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
@@ -178,7 +180,7 @@ class TestKubernetes:
                 f"{mount['mountPath']}/{item['path']}": secret["stringData"][item["key"]]
                 for item in sources[1]["secret"]["items"]
             }
-            tls = plan.container(name).config_payload["tls"]
+            tls = container(plan, name).config_payload["tls"]
             assert set(mounted) == set(tls.values())
             assert mounted[tls["cert"]].encode() == plan.materials[f"certs/{name}.crt"]
             assert mounted[tls["key"]].encode() == plan.materials[f"certs/{name}.key"]
@@ -230,7 +232,7 @@ class TestTracing:
         np, plan = _plan(fig4_topology, tracing=True)
         names = [c.name for c in plan.containers]
         assert names[-1] == COLLECTOR_NAME
-        collector = plan.container(COLLECTOR_NAME)
+        collector = container(plan, COLLECTOR_NAME)
         assert collector.role == "collector"
         # every service shares the bridge with the collector
         bridge_members = {e for e, by_subnet in np.attached.items() if "bridge" in by_subnet}
@@ -238,9 +240,9 @@ class TestTracing:
 
     def test_services_get_endpoint_env(self, fig4_topology):
         np, plan = _plan(fig4_topology, tracing=True)
-        endpoint = plan.container("db").environment["TRACE_COLLECTOR_ENDPOINT"]
+        endpoint = container(plan, "db").environment["TRACE_COLLECTOR_ENDPOINT"]
         assert endpoint == f"http://{np.address(COLLECTOR_NAME, 'bridge')}:4318/v1/traces"
-        assert "TRACE_COLLECTOR_ENDPOINT" not in plan.container("r1").environment
+        assert "TRACE_COLLECTOR_ENDPOINT" not in container(plan, "r1").environment
 
     def test_collector_name_collision(self):
         from conftest import make_topology
@@ -264,7 +266,7 @@ class TestHttps:
             "certs/payment.crt",
             "certs/payment.key",
         }
-        cfg = plan.container("frontend").config_payload
+        cfg = container(plan, "frontend").config_payload
         assert cfg["tls"]["cert"] == "/etc/topoforge/certs/frontend.crt"
         assert cfg["endpoints"][0]["downstreams"][0]["scheme"] == "https"
 
@@ -300,7 +302,7 @@ class TestOptionConflicts:
         _np, plan = _plan(fig4_topology, ioam=True, family="v6")
         assert any(
             cmd.startswith("sysctl -w net.ipv6.conf.eth0.ioam6_enabled=1")
-            for cmd in plan.container("frontend").setup
+            for cmd in container(plan, "frontend").setup
         )
 
     @pytest.mark.parametrize(

@@ -17,14 +17,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import topoforge as tf
-from topoforge import yamlio
+from topoforge import cli, yamlio
 from topoforge.deploy import GenerationOptions, plan_deployment
 from topoforge.errors import ConfigSyntaxError, SchemaError, TopoforgeError
 
 from conftest import chain_config, random_topology_text
 
 DATA = Path(__file__).parent / "data"
-SHOP = Path(__file__).parent.parent / "topologies" / "shop_demo.yml"
+TOPOLOGIES = Path(__file__).parent.parent / "topologies"
+SHOP = TOPOLOGIES / "shop_demo.yml"
+BENCH = Path(__file__).parent.parent / "bench"
 ALL_FLAGS = dict(family="v6", scheme="https", tracing=True, ioam=True)
 
 
@@ -32,7 +34,7 @@ class _PureLoader(yaml.SafeLoader):
     used = 0
 
     def __init__(self, stream):
-        _PureLoader.used += 1  # yamlio.load makes one to compose
+        _PureLoader.used += 1  # yamlio.load makes one to parse
         super().__init__(stream)
 
 
@@ -73,8 +75,8 @@ def test_libyaml_chosen_when_installed(monkeypatch):
     else:
         assert (yamlio.Loader, yamlio.Dumper) == (yaml.SafeLoader, yaml.SafeDumper)
     loaders = []
-    compose = yaml.compose
-    monkeypatch.setattr(yaml, "compose", lambda text, Loader: loaders.append(Loader) or compose(text, Loader))
+    parse = yaml.parse
+    monkeypatch.setattr(yaml, "parse", lambda text, Loader: loaders.append(Loader) or parse(text, Loader))
     assert yamlio.load("a: [1]\n") == {"a": [1]}
     assert loaders == [yamlio.Loader]
 
@@ -246,17 +248,20 @@ def _outcome(text: str):
         return type(exc), str(exc)
 
 
-def _examples(test):
-    for text in CRAFTED.values():
-        test = example(text)(test)
-    return test
+def _examples(texts):
+    def add(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+
+    return add
 
 
 @settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(_documents.map(yamlio.dump))
-@_examples
+@_examples(CRAFTED.values())
 def test_any_text_parses_or_raises_a_topoforge_error(both, text):
     chosen, pure = both(lambda: _outcome(text))
     assert chosen == pure
@@ -292,13 +297,75 @@ def test_nesting_limit(both, nested, line):
     assert both(lambda: _syntax_error_line(deeper)) == (line, line)
 
 
-def test_load_leaves_no_garbage():
-    # a reference cycle would keep the whole node tree until the next collection
-    text = (DATA / "fig4.yml").read_text()
+def _garbage_after_generate(config: Path, out: Path) -> int:
+    """The cyclic objects that one in-process ``generate`` of job A's kind leaves."""
+    argv = ["generate", str(config), "--target", "compose", "--tracing", "--output", str(out)]
+    cli.main(argv)  # warm-up: lazy imports and caches
     gc.collect()
     gc.disable()
     try:
-        yamlio.load(text)
+        cli.main(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_load_leaves_no_garbage(tmp_path, monkeypatch):
+    # the reader leaves no reference cycle, and one generate leaves as much cyclic garbage
+    # on job A's 1000-service draw as on fig4: it does not grow with the topology
+    fig4 = DATA / "fig4.yml"
+    gc.collect()
+    gc.disable()
+    try:
+        yamlio.load(fig4.read_text())
         assert gc.collect() == 0
     finally:
         gc.enable()
+    monkeypatch.syspath_prepend(str(BENCH))
+    import topogen
+
+    tree = tmp_path / "tree.yml"
+    tree.write_text(topogen.routed_tree(1000, 1).text)
+    small = _garbage_after_generate(fig4, tmp_path / "fig4")
+    assert _garbage_after_generate(tree, tmp_path / "tree") == small
+
+
+def test_load_never_composes_a_node_tree(monkeypatch, fig4_text):
+    def compose(*args, **kwargs):
+        raise AssertionError("yaml.compose called")
+
+    monkeypatch.setattr(yaml, "compose", compose)
+    assert set(tf.parse_config(fig4_text).entities) == {"frontend", "r1", "db", "payment"}
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("a:\n  b: 1\n  c: !!set {x, y}\n", 3),
+        ("a:\n  - !!omap [{x: 1}]\n", 2),
+        ("a:\n  type: service\n  port: 8000\n  endpoints: !!pairs []\n", 4),
+        ("a: !foo {type: service}\n", 1),
+        ("a: !!map [1, 2]\n", 1),
+        ("a:\n\n  !!seq {b: 1}\n", 3),
+    ],
+    ids=["set", "omap", "pairs", "local", "map on a sequence", "seq on a mapping"],
+)
+def test_tagged_collections_rejected(both, text, line):
+    assert both(lambda: _syntax_error_line(text)) == (line, line)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_documents.map(yamlio.dump))
+@_examples(path.read_text() for path in [DATA / "fig4.yml", *sorted(TOPOLOGIES.glob("*.yml"))])
+def test_load_reads_what_yaml_load_reads(both, text):
+    def same():
+        try:
+            doc = yamlio.load(text)
+        except ConfigSyntaxError:
+            return True  # rejected, as a duplicate key is, which yaml.load lets pass
+        # repr finds NaN equal to NaN, tells 0.0 from -0.0 and compares dict order
+        return repr(doc) == repr(yaml.load(text, Loader=yamlio.Loader))
+
+    assert both(same) == (True, True)
