@@ -248,20 +248,17 @@ def _outcome(text: str):
         return type(exc), str(exc)
 
 
-def _examples(texts):
-    def add(test):
-        for text in texts:
-            test = example(text)(test)
-        return test
-
-    return add
+def _examples(test):
+    for text in CRAFTED.values():
+        test = example(text)(test)
+    return test
 
 
 @settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(_documents.map(yamlio.dump))
-@_examples(CRAFTED.values())
+@_examples
 def test_any_text_parses_or_raises_a_topoforge_error(both, text):
     chosen, pure = both(lambda: _outcome(text))
     assert chosen == pure
@@ -354,11 +351,17 @@ def test_tagged_collections_rejected(both, text, line):
     assert both(lambda: _syntax_error_line(text)) == (line, line)
 
 
+def _file_examples(test):
+    for path in [DATA / "fig4.yml", *sorted(TOPOLOGIES.glob("*.yml"))]:
+        test = example(path.read_text())(test)
+    return test
+
+
 @settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(_documents.map(yamlio.dump))
-@_examples(path.read_text() for path in [DATA / "fig4.yml", *sorted(TOPOLOGIES.glob("*.yml"))])
+@_file_examples
 def test_load_reads_what_yaml_load_reads(both, text):
     def same():
         try:
