@@ -82,13 +82,21 @@ def _load(args):
     return topo
 
 
+def _base(args) -> str | None:
+    """The chosen family's allocation base; the other family's base flag is a conflict."""
+    other = "v4" if args.family == "v6" else "v6"
+    if getattr(args, f"base_{other}") is not None:
+        raise OptionConflictError(f"--base-{other} does not apply to IP{args.family} addressing")
+    return getattr(args, f"base_{args.family}")
+
+
 def _options(args) -> GenerationOptions:
     return GenerationOptions(
         family=args.family,
         scheme="https" if args.https else "http",
         tracing=args.tracing,
         ioam=args.ioam,
-        base=args.base_v6 if args.family == "v6" else args.base_v4,
+        base=_base(args),
         seed=args.seed,
         service_image=os.environ.get("TOPOFORGE_SERVICE_IMAGE", DEFAULT_SERVICE_IMAGE),
         router_image=os.environ.get("TOPOFORGE_ROUTER_IMAGE", DEFAULT_ROUTER_IMAGE),
@@ -129,10 +137,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    base = _base(args)
     topo = _load(args)
     from .netplan import plan_network, setup_commands
 
-    np = plan_network(topo, family=args.family, base=args.base_v6 if args.family == "v6" else args.base_v4)
+    np = plan_network(topo, family=args.family, base=base)
     print("call graph:")
     for rp in topo.path_table:
         print(f"  {rp.service}{rp.entrypoint} -> {rp.terminal}{rp.url}")

@@ -8,9 +8,8 @@ from .deploy import (
     TIMER_MOUNT,
     ContainerSpec,
     DeploymentPlan,
-    main_command,
     runtime_config_json,
-    setup_script,
+    start_command,
 )
 
 COMPOSE_FILE = "compose.yml"
@@ -23,7 +22,7 @@ def _service_entry(c: ContainerSpec, family: str, own_files: list) -> dict:
     if c.cap_net_admin:
         entry["cap_add"] = ["NET_ADMIN"]
     if c.role != "collector":
-        entry["command"] = ["sh", "-c", f"{setup_script(c)}\nexec {main_command(c)}"]
+        entry["command"] = start_command(c)
     volumes = [f"./{rel}:{mount}:ro" for rel, mount, _ in own_files]
     volumes += [f"./{key}:{mount}:ro" for mount, key in sorted(c.tls_files.items())]
     if volumes:

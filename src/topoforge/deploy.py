@@ -87,18 +87,14 @@ class DeploymentPlan:
     materials: dict[str, bytes] = field(default_factory=dict)
 
 
-def main_command(c: ContainerSpec) -> str:
-    """Command line of the container's main process."""
-    return SERVICE_COMMAND if c.role == "service" else ROUTER_COMMAND
-
-
-def setup_script(c: ContainerSpec) -> str:
-    """Shell script applying the container's setup commands under ``set -e``,
-    then starting its timer script in the background."""
+def start_command(c: ContainerSpec) -> list[str]:
+    """The container's command on both targets: its setup commands under
+    ``set -e``, its timer script started in the background, then its main process."""
     lines = ["set -e", *c.setup]
     if c.timer_script:
         lines.append(f"(sh {TIMER_MOUNT} &)")
-    return "\n".join(lines)
+    lines.append(f"exec {SERVICE_COMMAND if c.role == 'service' else ROUTER_COMMAND}")
+    return ["sh", "-c", "\n".join(lines)]
 
 
 def runtime_config_json(c: ContainerSpec) -> str:

@@ -4,9 +4,9 @@ Per entity: one Deployment, one stable-name Service, and one ConfigMap
 carrying a service's runtime config and any timer script; per HTTPS service, one Secret
 carrying its TLS material.  The pod mounts the ConfigMap and the Secret as
 one projected volume at ``/etc/topoforge``, the TLS files under ``certs/``;
-the setup commands run inline in the pod's postStart hook.  The cluster
-target uses the flat pod network; per-link subnets are not reproduced there,
-impairments still apply to container egress interfaces.
+the container runs the compose target's command, setup before the main
+process.  The cluster target uses the flat pod network; per-link subnets are
+not reproduced there, impairments still apply to container egress interfaces.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from .deploy import (
     TIMER_FILE,
     ContainerSpec,
     DeploymentPlan,
-    main_command,
     runtime_config_json,
-    setup_script,
+    start_command,
 )
 from .errors import ValidationError
 
@@ -76,7 +75,7 @@ def _deployment(c: ContainerSpec) -> dict:
     container: dict = {"name": c.name, "image": c.image}
     pod_spec: dict = {"containers": [container]}
     if c.role != "collector":
-        container["command"] = ["sh", "-c", f"exec {main_command(c)}"]
+        container["command"] = start_command(c)
         container["volumeMounts"] = [{"name": "config", "mountPath": MOUNT_DIR}]
         pod_spec["volumes"] = [{"name": "config", "projected": {"sources": _volume_sources(c)}}]
     if c.ports:
@@ -87,10 +86,6 @@ def _deployment(c: ContainerSpec) -> dict:
         ]
     if c.cap_net_admin:
         container["securityContext"] = {"capabilities": {"add": ["NET_ADMIN"]}}
-    if c.setup:
-        container["lifecycle"] = {
-            "postStart": {"exec": {"command": ["sh", "-c", setup_script(c)]}}
-        }
     return {
         "apiVersion": "apps/v1",
         "kind": "Deployment",

@@ -191,15 +191,21 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
             _check_connection(cfg, rname, conn)
 
     # router linkage rule: every router on a resolved path must declare a
-    # connection whose first hop is the path's next hop
+    # connection whose first hop is the path's next hop; a path's options and
+    # each matched connection's merge into their link as they are met
+    link_graph: dict[tuple[str, str], LinkEdge] = {}
+    dropped: list[str] = []  # warnings, which follow the unreferenced routers'
     matched: dict[tuple[str, str], int] = {}  # (router, next hop) -> connection
     for rp in path_table:
+        _merge_impairments(link_graph, rp.hops[0], rp.hops[1], rp.options, dropped)
         for router, nxt in zip(rp.hops[1:-1], rp.hops[2:]):
             if (router, nxt) not in matched:
-                match = _router_connection_for(routers[router], nxt)
+                connections = routers[router].connections
+                match = next((i for i, c in enumerate(connections) if c.path.hops[0] == nxt), None)
                 if match is None:
                     raise MissingRouterLinkageError(router, nxt, field="connections")
                 matched[(router, nxt)] = match
+                _merge_impairments(link_graph, router, nxt, connections[match].options, dropped)
 
     consumed = {(router, ci) for (router, _nxt), ci in matched.items()}
     referenced_routers = {router for router, _nxt in matched}
@@ -214,9 +220,9 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
                     rname,
                     "connections",
                 )
+    warnings += dropped
 
     _reject_cycles([((rp.service, rp.entrypoint), (rp.terminal, rp.url)) for rp in path_table])
-    link_graph = _build_link_graph(path_table, routers, matched, warnings)
 
     direct, routed = set(), set()
     paths_by_service = {
@@ -309,13 +315,6 @@ def _check_connection(cfg: TopologyConfig, entity: str, conn: ConnectionSpec):
     _check_impairments(entity, conn.options)
 
 
-def _router_connection_for(rtr: RouterSpec, next_hop: str) -> int | None:
-    for i, conn in enumerate(rtr.connections):
-        if conn.path.hops[0] == next_hop:
-            return i
-    return None
-
-
 def _reject_cycles(call_graph):
     sorter = graphlib.TopologicalSorter()
     for caller, callee in call_graph:
@@ -338,7 +337,12 @@ def _format_option(name: str, value) -> str:
     return str(OPTION_KINDS[name].format(value))
 
 
-def _merge_impairments(edge: LinkEdge, opt: ImpairmentSpec, declarer: str, warnings: list[str]):
+def _merge_impairments(links, declarer: str, peer: str, opt: ImpairmentSpec, warnings):
+    """Merge ``declarer``'s options into its link with ``peer``, made on first use."""
+    key = link_key(declarer, peer)
+    edge = links.get(key)
+    if edge is None:
+        edge = links[key] = LinkEdge(a=key[0], b=key[1])
     merged, taken, dropped = merge_declarations(edge.impairments, opt)
     for name in dropped:
         warnings.append(
@@ -350,26 +354,3 @@ def _merge_impairments(edge: LinkEdge, opt: ImpairmentSpec, declarer: str, warni
     for name in taken:
         edge.declared_by[name] = declarer
     edge.impairments = merged
-
-
-def _build_link_graph(path_table, routers, matched, warnings):
-    links: dict[tuple[str, str], LinkEdge] = {}
-
-    def edge(a, b):
-        key = link_key(a, b)
-        if key not in links:
-            links[key] = LinkEdge(a=key[0], b=key[1])
-        return links[key]
-
-    merged = set()
-    for rp in path_table:
-        # the declaring service's options govern its first adjacent pair
-        _merge_impairments(edge(rp.hops[0], rp.hops[1]), rp.options, rp.hops[0], warnings)
-        # each router's matched connection governs the pair toward its next
-        # hop; merging it again for a later path would only repeat warnings
-        for router, nxt in zip(rp.hops[1:-1], rp.hops[2:]):
-            if (router, nxt) not in merged:
-                merged.add((router, nxt))
-                conn = routers[router].connections[matched[(router, nxt)]]
-                _merge_impairments(edge(router, nxt), conn.options, router, warnings)
-    return links

@@ -1,16 +1,17 @@
 """The YAML backend every load and dump in topoforge goes through.
 
-libyaml's C classes when PyYAML was built with them, else PyYAML's
-pure-Python classes.  ``load`` builds what SafeLoader builds, in one pass
-over the parser's events with no node tree, but raises ``ConfigSyntaxError``
-at its line for any error, a duplicate or unhashable key, a tagged
-collection or nesting deeper than
-``MAX_DEPTH`` included.  ``dump`` walks the document's dicts, lists and scalars
-itself and feeds the emitter a stream of ``yaml.events``, so no node tree is
-built and no representer runs.  Both emitters write the same bytes for that
-stream: they differ only in where they fold long scalars, and ``dump`` uses
-a line width wide enough that nothing is ever folded.  The writer makes no
-anchors: a sub-object that a document holds twice is written out twice.
+libyaml's C classes when PyYAML was built with them, else PyYAML's pure-Python
+classes.  ``load`` builds what SafeLoader builds, in one pass over the
+parser's events with no node tree, but raises a one-line ``ConfigSyntaxError``
+at its line for any error, a duplicate or unhashable key, a tagged collection
+or nesting deeper than ``MAX_DEPTH`` included; only the scanner's and parser's
+errors are worded by the backend.  ``dump`` walks the document's dicts, lists
+and scalars itself and feeds the emitter a stream of ``yaml.events``, so no
+node tree is built and no representer runs.  Both emitters write the same
+bytes for that stream: they differ only in where they fold long scalars, and
+``dump`` uses a line width wide enough that nothing is ever folded.  The
+writer makes no anchors: a sub-object that a document holds twice is written
+out twice.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from itertools import chain
 
 import yaml
-from yaml.composer import Composer, ComposerError
 from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.events import AliasEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent
 from yaml.events import ScalarEvent, SequenceEndEvent, SequenceStartEvent
@@ -68,8 +68,8 @@ def load(text: str):
     top = doc = []
     pending, fill, opened = _ITEM, (0,), None
 
-    def fail(error):  # keeps the first error at the current event; the value reads None
-        errors.setdefault((fill, index), error)
+    def fail(problem, mark):  # keeps the first error at the current event; the value reads None
+        errors.setdefault((fill, index), ConfigSyntaxError(problem, line=mark.line + 1))
 
     try:
         for index, event in enumerate(yaml.parse(text, Loader=Loader)):
@@ -82,17 +82,16 @@ def load(text: str):
                     try:
                         value = constructor.construct_document(
                             yaml.ScalarNode(tag, value, event.start_mark, event.end_mark))
-                    except ConstructorError as exc:
-                        value = fail(exc)
+                    except ConstructorError as exc:  # as in a ``!!binary`` that is not base64
+                        value = fail(exc.problem, exc.problem_mark)
                     except (ValueError, KeyError, AttributeError):  # as in ``0b_``, ``!!bool x``
-                        problem = f"could not construct a value for the tag {tag!r}"
-                        value = fail(ConstructorError(None, None, problem, event.start_mark))
+                        value = fail(f"could not construct a value for the tag {tag!r}",
+                                     event.start_mark)
                 if event.anchor is not None:
                     _anchor(anchors, event, value)
             elif kind is MappingStartEvent or kind is SequenceStartEvent:
                 if event.tag not in (None, "!", _TAGS[kind]):
-                    problem = f"found the unsupported tag {event.tag!r}"
-                    fail(ConstructorError(None, None, problem, event.start_mark))
+                    fail(f"found the unsupported tag {event.tag!r}", event.start_mark)
                 stack.append((top, pending, fill, opened))
                 if len(stack) > MAX_DEPTH:
                     line = event.start_mark.line + 1
@@ -110,20 +109,19 @@ def load(text: str):
                 top, pending, fill, opened = stack.pop()
             elif kind is AliasEvent:
                 if event.anchor not in anchors:
-                    problem = _naming("found undefined alias", event.anchor)
-                    raise ComposerError(None, None, problem, event.start_mark)
+                    line = event.start_mark.line + 1
+                    raise ConfigSyntaxError(f"found undefined alias {event.anchor!r}", line=line)
                 value, node = anchors[event.anchor]
                 # a mapping still open, with no sequence in between, cannot hold itself
                 for holder in chain((top,), (frame[0] for frame in reversed(stack))):
                     if holder is value and type(value) is dict:
-                        problem = "found unconstructable recursive node"
-                        fail(ConstructorError(None, None, problem, node.start_mark))
+                        fail("found unconstructable recursive node", node.start_mark)
                     if holder is value or type(holder) is list:
                         break
             else:  # the stream's or a document's start or end
-                if kind is DocumentStartEvent and doc:  # ``node`` still starts the first root
-                    raise ComposerError("expected a single document in the stream", node.start_mark,
-                                        "but found another document", event.start_mark)
+                if kind is DocumentStartEvent and doc:
+                    raise ConfigSyntaxError("expected a single document in the stream, but found "
+                                            "another document", line=event.start_mark.line + 1)
                 continue
             if pending is _ITEM:
                 top.append(value)
@@ -133,18 +131,20 @@ def load(text: str):
             else:  # a key, checked before its value is built
                 try:
                     if value in top:
-                        line = node.start_mark.line + 1
-                        fail(ConfigSyntaxError(f"duplicate key {value!r}", line=line))
+                        fail(f"duplicate key {value!r}", node.start_mark)
                 except TypeError:
-                    fail(ConstructorError("while constructing a mapping", opened.start_mark,
-                                          "found unhashable key", node.start_mark))
+                    fail("found unhashable key", node.start_mark)
                     value = object()  # stands in for the key, so that the pass goes on
                 pending = value
         if errors:
             raise errors[min(errors)]
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        raise ConfigSyntaxError(str(exc), line=mark and mark.line + 1) from exc
+    except yaml.reader.ReaderError as exc:  # no mark, and libyaml's position counts bytes
+        problem = f"special character #x{exc.character:04x} is not allowed"
+        line = text.count("\n", 0, text.index(chr(exc.character))) + 1
+        raise ConfigSyntaxError(problem, line=line) from exc
+    except yaml.MarkedYAMLError as exc:  # the scanner's or parser's wording, without its marks
+        problem = "; ".join(part for part in (exc.context, exc.problem) if part)
+        raise ConfigSyntaxError(problem, line=exc.problem_mark.line + 1) from exc
     return doc[0] if doc else None
 
 
@@ -159,15 +159,10 @@ def _plain_tag(value: str) -> str:
 def _anchor(anchors: dict, event, value):
     """Remember an anchored node's value; an anchor may be given only once."""
     if event.anchor in anchors:
-        problem = f"{_naming('found duplicate anchor', event.anchor)}; first occurrence"
-        first = anchors[event.anchor][1].start_mark
-        raise ComposerError(problem, first, "second occurrence", event.start_mark)
+        first = anchors[event.anchor][1].start_mark.line + 1
+        problem = f"found duplicate anchor {event.anchor!r}, first given at line {first}"
+        raise ConfigSyntaxError(problem, line=event.start_mark.line + 1)
     anchors[event.anchor] = value, event
-
-
-def _naming(problem: str, anchor: str) -> str:
-    # the composers word an anchor error alike, but only PyYAML's names the anchor
-    return f"{problem} {anchor!r}" if issubclass(Loader, Composer) else problem
 
 
 def dump(doc) -> str:

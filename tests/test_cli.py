@@ -252,6 +252,23 @@ def test_base_of_the_other_version_conflicts(tmp_path, capsys):
     assert "error: base network fd00::/16 is not an IPv4 network" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "inspect"])
+@pytest.mark.parametrize(
+    "family, flag, base",
+    [(["--ipv6"], "--base-v4", "192.168.0.0/16"), ([], "--base-v6", "fd00:1::/48")],
+    ids=["v4-base-under-ipv6", "v6-base-under-ipv4"],
+)
+def test_base_of_the_family_not_chosen_conflicts(command, family, flag, base, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, FIG4, *family, flag, base]
+    if command == "generate":
+        argv += ["--output", str(out)]
+    assert cli.main(argv) == 2
+    chosen = "v6" if family else "v4"
+    assert capsys.readouterr() == ("", f"error: {flag} does not apply to IP{chosen} addressing\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "generate"])
 def test_colliding_link_subnet_names_exit_1(command, tmp_path, capsys):
     config = tmp_path / "collide.yml"

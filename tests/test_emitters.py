@@ -157,11 +157,30 @@ class TestKubernetes:
         dep = yaml.safe_load(files["manifests/frontend-deployment.yaml"])
         (container,) = dep["spec"]["template"]["spec"]["containers"]
         assert container["securityContext"] == {"capabilities": {"add": ["NET_ADMIN"]}}
-        hook = container["lifecycle"]["postStart"]["exec"]["command"][2]
-        assert "tc qdisc add dev eth1 root netem rate 100mbit" in hook
-        assert "(sh /etc/topoforge/timers.sh &)" in hook
+        script = container["command"][2]
+        assert "tc qdisc add dev eth1 root netem rate 100mbit" in script
+        assert "(sh /etc/topoforge/timers.sh &)" in script
+        assert "lifecycle" not in container
         cm = yaml.safe_load(files["manifests/frontend-configmap.yaml"])
         assert set(cm["data"]) == {"config.json", "timers.sh"}
+
+    @pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, dict(family="v6", ioam=True), dict(scheme="https"), dict(tracing=True)],
+        ids=["v4", "v6-ioam", "https", "tracing"],
+    )
+    def test_every_container_starts_as_on_compose(self, path, kw):
+        # setup, timers and the main process run in one command on both targets
+        topology = tf.validate(tf.parse_config(path.read_text()), family=kw.get("family", "v4"))
+        _np, plan = _plan(topology, **kw)
+        services = yaml.safe_load(dict(tf.emit_compose(plan))["compose.yml"])["services"]
+        files = dict(tf.emit_k8s(plan))
+        for c in plan.containers:
+            dep = yaml.safe_load(files[f"manifests/{c.name}-deployment.yaml"])
+            (pod_container,) = dep["spec"]["template"]["spec"]["containers"]
+            assert pod_container.get("command") == services[c.name].get("command")
+            assert "lifecycle" not in pod_container
 
     def test_https_pods_mount_their_tls_files(self, fig4_topology):
         _np, plan = _plan(fig4_topology, scheme="https")

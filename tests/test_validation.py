@@ -298,6 +298,19 @@ class TestPortsAndOptions:
             "dropping 10mbit declared by 'front'"
         ]
 
+    def test_warning_order(self):
+        # system ports first, then unreferenced routers, then dropped declarations
+        text = (
+            shared_first_hop_config().replace("port: 9001", "port: 443")
+            + "idle:\n  type: router\n  connections:\n    - path: db\n"
+        )
+        assert make_topology(text).warnings == [
+            "service 'db' uses system port 443 (below 1024)",
+            "router 'idle' is not referenced by any path",
+            "link 'front<->r1': keeping rate 100mbit declared by 'front', "
+            "dropping 10mbit declared by 'front'",
+        ]
+
     def test_dropped_timer_list_warns(self):
         first_timer = (
             "rate: 100mbit\n          timers:\n            - option: rate\n"

@@ -236,6 +236,13 @@ CRAFTED = {
     "alias fan-out": _fan_out(9),
     "flow nesting bomb": "[" * 50_000 + "\n",
     "block nesting bomb": "- " * 50_000 + "x\n",
+    "control character": "a: \x01\n",
+    # libyaml counts its position in UTF-8 bytes, PyYAML in characters
+    "control character after a non-ASCII line": "a: é\nb: ééé\nc: \x01\n",
+    "undefined alias": "a: *x\n",
+    "duplicate anchor": "a: &x 1\nb: &x 2\n",
+    "second document": "a: 1\n---\nb: 2\n",
+    "unclosed quoted scalar": 'a: "x\n',
 }
 
 
@@ -262,6 +269,23 @@ def _examples(test):
 def test_any_text_parses_or_raises_a_topoforge_error(both, text):
     chosen, pure = both(lambda: _outcome(text))
     assert chosen == pure
+
+
+@pytest.mark.parametrize("text", CRAFTED.values(), ids=CRAFTED.keys())
+def test_syntax_errors_are_one_line(both, text):
+    def message():
+        try:
+            tf.parse_config(text)
+        except ConfigSyntaxError as exc:
+            return exc.line, str(exc)
+        except TopoforgeError:
+            return None
+
+    for result in both(message):
+        if result is not None:
+            line, msg = result
+            assert msg.startswith(f"line {line}: ")
+            assert "\n" not in msg and "<unicode string>" not in msg
 
 
 def test_alias_fan_out_builds_each_node_once(both):
