@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import queue
 import random
 import re
 import select
@@ -365,7 +366,7 @@ class _HttpClient:
             idle = [conn for conns in (self._idle or {}).values() for conn in conns]
             self._idle = None
         for conn in idle:
-            conn.close()  # ends the peer's handler thread for this connection
+            conn.close()  # frees the peer's worker for another connection
 
 
 def _collector_target(endpoint: str) -> tuple[tuple[str, str, int], str] | None:
@@ -544,7 +545,7 @@ class _Handler(socketserver.StreamRequestHandler):
             return keep
         try:
             status, body, ctype = server.handle_request(endpoint, fields.get("traceparent"))
-        except Exception as exc:  # never crash the handler thread
+        except Exception as exc:  # never crash the worker
             status, body, ctype = 500, f"internal error: {exc}".encode(), "text/plain"
         self._reply(status, body, ctype, not keep)
         return keep
@@ -560,9 +561,42 @@ class _Handler(socketserver.StreamRequestHandler):
         self.connection.sendall(head.encode("latin-1") + body)
 
 
-class _ServerV4(socketserver.ThreadingTCPServer):
-    daemon_threads = True
+class _ServerV4(socketserver.TCPServer):
+    # serves each connection on a reused worker thread (Half-Sync/Half-Async)
     allow_reuse_address = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._handoff = queue.SimpleQueue()  # (request, address) for an idle worker; None: exit
+        self._lock = threading.Lock()
+        self._idle = 0  # waiting workers, less the connections queued for them
+
+    def process_request(self, *request):
+        with self._lock:
+            if self._idle:
+                self._idle -= 1
+                return self._handoff.put(request)
+        threading.Thread(target=self._work, args=(request,), daemon=True).start()
+
+    def _work(self, request):
+        while request:
+            try:
+                self.finish_request(*request)
+            except Exception:
+                self.handle_error(*request)
+            finally:
+                self.shutdown_request(request[0])
+            with self._lock:
+                self._idle += 1
+            try:
+                request = self._handoff.get(timeout=IDLE_TIMEOUT_S)
+            except queue.Empty:
+                with self._lock:
+                    if self._idle:  # more workers wait than connections are queued
+                        self._idle -= 1
+                        return
+                    request = self._handoff.get_nowait()  # handed over as the wait ended
+        self._handoff.put(None)  # stop()'s None, passed on to the next worker
 
     def handle_error(self, request, client_address):
         # a client that fails its TLS handshake or drops its connection is
@@ -605,13 +639,12 @@ class Microservice(_HttpClient):
 
             ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             ctx.load_cert_chain(config.tls["cert"], config.tls["key"])
-            # each handshake runs in its handler thread, not in the accept loop
+            # each handshake runs in its worker, not in the accept loop
             self._server.socket = ctx.wrap_socket(
                 self._server.socket, server_side=True, do_handshake_on_connect=False
             )
         # accepted connections still open, for stop() to shut down
         self._inbound: set[socket.socket] = set()
-        self._thread: threading.Thread | None = None
 
     @property
     def port(self) -> int:
@@ -621,23 +654,20 @@ class Microservice(_HttpClient):
         return self._endpoints.get(path)
 
     def start(self):
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, args=(STOP_POLL_S,), daemon=True
-        )
-        self._thread.start()
+        threading.Thread(target=self._server.serve_forever, args=(STOP_POLL_S,), daemon=True).start()
 
     def stop(self):
         """Stop serving and close every connection, inbound and pooled."""
         self._server.shutdown()
         self._server.server_close()
+        self._server._handoff.put(None)  # each worker exits once it is idle
         self._close_pool()
         with self._conn_lock:
-            inbound = list(self._inbound)
-        for sock in inbound:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)  # ends our handler thread
-            except OSError:
-                pass
+            for sock in self._inbound:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)  # frees our worker, which then exits
+                except OSError:
+                    pass
         if self.exporter:
             self.exporter.close()
 

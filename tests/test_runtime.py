@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import queue
 import random
 import resource
 import socket
@@ -72,6 +73,28 @@ def _count_accepts(svc):
     return accepted
 
 
+def _record_workers(svc):
+    """A list that grows by the serving thread of each connection ``svc`` opens."""
+    workers = []
+    track = svc._track_inbound
+
+    def recording(sock, is_open):
+        if is_open:
+            workers.append(threading.current_thread())
+        track(sock, is_open)
+
+    svc._track_inbound = recording
+    return workers
+
+
+def _wait_until(condition, timeout=3):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return condition()
+
+
+_GET = b"GET / HTTP/1.1\r\nHost: svc\r\n\r\n"
 _OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
 
 
@@ -584,6 +607,131 @@ class TestLifecycle:
             front.stop()
             leaf.stop()
 
+    def test_idle_workers_exit(self, monkeypatch):
+        svc = _service("svc", [EndpointRuntime("/", 32)])
+        workers = _record_workers(svc)
+        conns = []
+        try:
+            for _ in range(50):
+                conns.append(socket.create_connection(("127.0.0.1", svc.port), timeout=5))
+                conns[-1].sendall(_GET)
+                with conns[-1].makefile("rb") as replies:
+                    assert _read_response(replies)[0].startswith(b"HTTP/1.1 200 ")
+            # each open connection holds a worker of its own
+            assert len(set(workers)) == 50
+            # shortened only now, so no open connection timed out above
+            monkeypatch.setattr(runtime, "IDLE_TIMEOUT_S", 0.2)
+            closed = time.monotonic()
+            for conn in conns:
+                conn.close()
+            # every worker goes idle, waits 0.2 s for a connection and exits
+            assert _wait_until(lambda: not any(t.is_alive() for t in workers))
+            assert time.monotonic() - closed >= 0.2
+            assert svc._server._idle == 0
+        finally:
+            for conn in conns:
+                conn.close()
+            svc.stop()
+
+    def test_no_connection_lost_as_workers_time_out(self, monkeypatch):
+        # workers time out while the accept loop hands them connections;
+        # a connection handed to a worker that left would never be answered
+        monkeypatch.setattr(runtime, "IDLE_TIMEOUT_S", 0.05)
+        svc = _service("svc", [EndpointRuntime("/", 32)])
+        workers = _record_workers(svc)
+        statuses = []
+
+        def client(rng):
+            for _ in range(25):
+                time.sleep(rng.uniform(0, 0.06))
+                with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as conn:
+                    conn.sendall(b"GET / HTTP/1.1\r\nHost: svc\r\nConnection: close\r\n\r\n")
+                    with conn.makefile("rb") as replies:
+                        statuses.append(_read_response(replies)[0][9:12])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [
+                threading.Thread(target=client, args=(random.Random(i),)) for i in range(8)
+            ]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=20)
+            assert not any(t.is_alive() for t in clients)
+            assert statuses == [b"200"] * 200
+            assert _wait_until(lambda: not any(t.is_alive() for t in workers))
+            assert svc._server._idle == 0
+        finally:
+            sys.setswitchinterval(interval)
+            svc.stop()
+
+    def test_connection_handed_over_as_the_wait_ends_is_served(self, monkeypatch):
+        monkeypatch.setattr(runtime, "IDLE_TIMEOUT_S", 0.1)
+        svc = _service("svc", [EndpointRuntime("/", 32)])
+        handoff = svc._server._handoff
+        late = []  # the client that connects as the idle worker's wait ends
+
+        class LateHandoff:
+            put, get_nowait = handoff.put, handoff.get_nowait
+
+            def get(self, timeout):
+                try:
+                    return handoff.get(timeout=timeout)
+                except queue.Empty:
+                    if not late:
+                        late.append(socket.create_connection(("127.0.0.1", svc.port), timeout=3))
+                        late[0].sendall(_GET)
+                        # the accept loop hands it to this worker before it gives up
+                        assert _wait_until(handoff.qsize)
+                    raise
+
+        svc._server._handoff = LateHandoff()
+        try:
+            assert _get(svc.port, "/")[0] == 200
+            assert _wait_until(lambda: late)
+            with late[0].makefile("rb") as replies:
+                assert _read_response(replies)[0].startswith(b"HTTP/1.1 200 ")
+        finally:
+            for conn in late:
+                conn.close()
+            svc.stop()
+
+    def test_idle_keepalive_connections_do_not_starve_a_new_one(self):
+        svc = _service("svc", [EndpointRuntime("/", 32)])
+        held = []
+        try:
+            for _ in range(20):
+                held.append(socket.create_connection(("127.0.0.1", svc.port), timeout=5))
+                held[-1].sendall(_GET)
+                with held[-1].makefile("rb") as replies:
+                    status_line, fields, _body = _read_response(replies)
+                assert status_line.startswith(b"HTTP/1.1 200 ") and "connection" not in fields
+            # 20 kept-alive connections wait, each on its worker, for a request
+            status, body, _ = _get(svc.port, "/")
+            assert status == 200 and len(body) == 32
+        finally:
+            for conn in held:
+                conn.close()
+            svc.stop()
+
+    def test_stop_leaves_no_worker_waiting(self):
+        svc = _service("svc", [EndpointRuntime("/", 32)])
+        workers = _record_workers(svc)
+        with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as kept:
+            for _ in range(5):
+                assert _get(svc.port, "/")[0] == 200
+            kept.sendall(_GET)
+            with kept.makefile("rb") as replies:
+                assert _read_response(replies)[0].startswith(b"HTTP/1.1 200 ")
+            # one worker waits on the kept-alive connection, the others for one
+            assert _wait_until(lambda: svc._server._idle == len(set(workers)) - 1)
+            t0 = time.monotonic()
+            svc.stop()
+            assert time.monotonic() - t0 < 0.2
+            assert _wait_until(lambda: not any(t.is_alive() for t in workers), timeout=1)
+
     def test_stale_pooled_connections_closed_before_the_peer_does(self, monkeypatch):
         # the caller drops pooled connections after IDLE_TIMEOUT_S / 2, the
         # leaves close theirs after IDLE_TIMEOUT_S
@@ -669,6 +817,39 @@ class TestHttps:
                     assert plain.recv(100) == b""  # closed without a reply
             status, _ = _https_get(svc.port, tls_files["ca"], timeout=3)
             assert status == 200
+        finally:
+            svc.stop()
+        assert capfd.readouterr().err == ""
+
+    def test_reused_worker_starts_clean(self, tls_files, capfd):
+        svc = _service("svc", [EndpointRuntime("/", 32)], scheme="https", tls=tls_files)
+        workers = _record_workers(svc)
+        ctx = ssl.create_default_context(cafile=tls_files["ca"])
+        try:
+            with (
+                socket.create_connection(("127.0.0.1", svc.port), timeout=3) as raw,
+                ctx.wrap_socket(raw, server_hostname="127.0.0.1") as conn,
+                conn.makefile("rb") as replies,
+            ):
+                conn.sendall(b"GET / HTTP/1.1 extra\r\n")
+                status_line, fields, _body = _read_response(replies)
+                assert replies.read() == b""
+            assert status_line.startswith(b"HTTP/1.1 400 ") and fields["connection"] == "close"
+            assert _wait_until(lambda: svc._server._idle == 1)
+            # a client that sends its hello, reads the server's first bytes and leaves
+            incoming, outgoing = ssl.MemoryBIO(), ssl.MemoryBIO()
+            hello = ctx.wrap_bio(incoming, outgoing, server_hostname="127.0.0.1")
+            with pytest.raises(ssl.SSLWantReadError):
+                hello.do_handshake()
+            with socket.create_connection(("127.0.0.1", svc.port), timeout=3) as raw:
+                raw.sendall(outgoing.read())
+                assert raw.recv(1)
+            assert _wait_until(lambda: len(workers) == 2 and svc._server._idle == 1)
+            status, body = _https_get(svc.port, tls_files["ca"], timeout=3)
+            assert status == 200 and len(body) == 32
+            # one worker served all three connections, and still waits for more
+            assert len(workers) == 3 and len(set(workers)) == 1
+            assert workers[0].is_alive()
         finally:
             svc.stop()
         assert capfd.readouterr().err == ""
