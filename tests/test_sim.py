@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import topoforge as tf
+from topoforge import sim
 from topoforge.errors import WorkloadUnreachableError
 from topoforge.model import ImpairmentSpec, Rate
 from topoforge.sim import CLIENT, MS, S, ModelParams, _Exchange, _LinkDir, build_sim, run
@@ -465,6 +466,63 @@ class TestLosslessOutcomes:
         assert json.loads(json.dumps(report)) == expected
 
 
+# (text in shop_demo.yml, impairment lines added after its first occurrence):
+# frontendproxy's "/" connection to frontend, and frontend's to the catalog
+SHOP_LOSSY_LINKS = (
+    (
+        "          url: /\n          delay: 500us\n",
+        "          jitter: 100us\n          loss: 1%\n          duplicate: 1%\n"
+        "          reorder: 2%\n",
+    ),
+    (
+        "        - path: productcatalogservice\n          url: /\n",
+        "          delay: 200us\n          loss: 0.5%\n          corrupt: 1%\n",
+    ),
+)
+
+
+def _lossy_shop_text() -> str:
+    text = SHOP_DEMO.read_text()
+    for anchor, extra in SHOP_LOSSY_LINKS:
+        assert anchor in text, anchor
+        text = text.replace(anchor, anchor + extra, 1)
+    return text
+
+
+# name -> (config text, seed, params, workload); each crosses loss,
+# duplication, corruption, reordering, jitter or a rate timer
+PINNED_RUNS = {
+    "lossy_chain": lambda: (
+        TestReliability.LOSSY_CHAIN, 4, ModelParams(rto_us=1.5 * MS),
+        dict(service="a", mode="open", rate=200.0, duration_s=0.5),
+    ),
+    "shop_lossy_open": lambda: (
+        _lossy_shop_text(), 1, None,
+        dict(service="frontendproxy", mode="open", rate=3000.0, duration_s=0.2),
+    ),
+    "fig4_rate_timer": lambda: (
+        (DATA / "fig4.yml").read_text(), 0, None,
+        dict(service="frontend", mode="closed", clients=8, duration_s=0.05, start_s=15.0),
+    ),
+}
+
+
+def pinned_report(name: str) -> dict:
+    text, seed, params, workload = PINNED_RUNS[name]()
+    world = build_sim(make_topology(text), seed=seed, params=params)
+    return json.loads(json.dumps(run(world, tf.Workload(entrypoint="/", **workload)).to_dict()))
+
+
+class TestLossyOutcomes:
+    # whole reports, event digest included: how an event is executed may
+    # change, but not which events run, in what order, or which random
+    # numbers they draw
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_report_unchanged(self, name):
+        expected = json.loads((DATA / "sim_lossy.json").read_text())[name]
+        assert pinned_report(name) == expected
+
+
 class TestEventModel:
     def test_events_per_request(self, fig4_topology):
         # per request: 4 link arrivals, 3 service steps
@@ -508,3 +566,37 @@ class TestEventModel:
         rb = world.links[("r", "b")]
         assert rb.dropped == 246 * 100
         assert rb.rx == 4 * 100
+
+
+class _CountingHeapq:
+    """Stand-in for the simulator's ``heapq`` that counts pushes and pops."""
+
+    def __init__(self, real):
+        self.real = real
+        self.pushes = self.pops = 0
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        self.real.heappush(heap, item)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return self.real.heappop(heap)
+
+
+class TestTracedContract:
+    # the traced benchmark swaps ``sim.heapq`` before ``build_sim`` to count
+    # events, and wraps ``world.forward`` to count request attempts
+    def test_swapped_heapq_and_forward_see_every_event(self, monkeypatch, fig4_topology):
+        counter = _CountingHeapq(sim.heapq)
+        monkeypatch.setattr(sim, "heapq", counter)
+        world = build_sim(fig4_topology, seed=0)
+        sends = _log_sends(world)
+        w = tf.Workload(service="frontend", mode="closed", clients=8, duration_s=0.05)
+        report = run(world, w)
+        assert report.completed > 0
+        # no push bypasses the swapped module
+        assert counter.pushes - counter.pops == len(world._heap)
+        assert counter.pops >= 7 * report.completed
+        client_requests = [1 for kind, src, _t, _eid in sends if kind == "request" and src == CLIENT]
+        assert len(client_requests) == report.issued
