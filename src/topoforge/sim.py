@@ -9,7 +9,8 @@ Events: a packet costs one per link it crosses and one per service that
 handles it.  A link decides a packet's departure, loss, corruption,
 duplication and delay when the packet is handed off, and schedules only its
 arrival; a router hands a packet on when its processing ends, with no event
-of its own.
+of its own.  A heap entry carries one argument for its callback; hops,
+reversed routes and deadline queues are resolved once per world.
 
 Reliability is per exchange (one request/response round trip).  An exchange
 retransmits its request at issue + k * rto while that is before its deadline,
@@ -165,7 +166,7 @@ class _LinkDir:
     """
 
     __slots__ = (
-        "world", "rng", "boundaries", "values", "busy_until", "pending",
+        "world", "rng", "boundaries", "values", "shaping", "busy_until", "pending",
         "tx", "rx", "dropped", "corrupted",
     )
 
@@ -176,29 +177,36 @@ class _LinkDir:
         timeline = impairment_timeline(spec)
         self.boundaries = [t * S for t, _values in timeline[1:]]
         self.values = [values for _t, values in timeline]
+        # per segment: None when unshaped, else (bits per second, queue limit)
+        limit = world.params.queue_limit
+        self.shaping = [
+            v.rate and (v.rate.bits_per_second, limit if v.buffer_size is None else v.buffer_size)
+            for v in self.values
+        ]
         self.busy_until = 0.0
         self.pending: deque[float] = deque()  # departure times of queued packets
         self.tx = self.rx = self.dropped = self.corrupted = 0
 
-    def params_at(self, now_us: float) -> ImpairmentSpec:
-        return self.values[bisect_right(self.boundaries, now_us)]
-
     def transmit(self, msg: Message, now: float):
-        eff = self.params_at(now)
+        boundaries = self.boundaries
+        seg = bisect_right(boundaries, now) if boundaries else 0
+        eff = self.values[seg]
+        shaping = self.shaping[seg]
         self.tx += msg.size
         depart = now
-        if eff.rate is not None:
+        if shaping is not None:
+            bps, limit = shaping
             pending = self.pending
             while pending and pending[0] <= now:
                 pending.popleft()
-            limit = eff.buffer_size if eff.buffer_size is not None else self.world.params.queue_limit
             if len(pending) >= limit:
                 self.dropped += msg.size
                 return
-            depart = max(now, self.busy_until) + msg.size * 8 / eff.rate.bits_per_second * S
+            depart = (self.busy_until if self.busy_until > now else now) + msg.size * 8 / bps * S
             self.busy_until = depart
             pending.append(depart)
-            eff = self.params_at(depart)
+            if boundaries:
+                eff = self.values[bisect_right(boundaries, depart)]
         if eff.loss is not None and self.rng.random() * 100.0 < eff.loss:
             self.dropped += msg.size
             return
@@ -209,16 +217,20 @@ class _LinkDir:
             latency = eff.delay
             if eff.jitter is not None and eff.jitter > 0:
                 latency += self.rng.uniform(-eff.jitter, eff.jitter)
-            latency = max(0.0, latency)
+            if latency < 0.0:
+                latency = 0.0
             # netem-style reordering: a reordered packet skips the delay and
             # jumps ahead of earlier, still-delayed packets
             if eff.reorder is not None and self.rng.random() * 100.0 < eff.reorder:
                 latency = 0.0
         dup = eff.duplicate is not None and self.rng.random() * 100.0 < eff.duplicate
-        self.world.schedule_at(depart + latency, self._arrive, msg)
+        t = depart + latency
+        world = self.world
+        world._seq = seq = world._seq + 1
+        world._heappush(world._heap, (t, seq, self._arrive, msg))
         if dup:
             self.tx += msg.size
-            self.world.schedule_at(depart + latency, self._arrive, replace(msg))
+            world.schedule_at(t, self._arrive, replace(msg))
 
     def _arrive(self, now: float, msg: Message):
         if msg.corrupted:
@@ -237,10 +249,11 @@ class _TimerQueue:
     belongs to a live exchange and fires without a check.
     """
 
-    __slots__ = ("world", "entries", "scheduled")
+    __slots__ = ("world", "delay", "entries", "scheduled")
 
-    def __init__(self, world: "SimWorld"):
+    def __init__(self, world: "SimWorld", delay_us: float):
         self.world = world
+        self.delay = delay_us
         self.entries: dict[int, tuple] = {}
         self.scheduled = False  # an event for this queue is in the heap
 
@@ -250,7 +263,7 @@ class _TimerQueue:
             self.scheduled = True
             self.world.schedule_at(t, self._fire)
 
-    def _fire(self, now: float):
+    def _fire(self, now: float, _arg):
         entries = self.entries
         while entries:
             eid = next(iter(entries))
@@ -267,30 +280,32 @@ class _Exchange:
     """One reliable request/response round trip along a route."""
 
     __slots__ = (
-        "world", "route", "url", "deadline", "on_done", "eid", "issued_at", "served", "timers",
+        "world", "route", "back", "url", "deadline", "on_done", "eid", "issued_at", "served",
+        "timers",
     )
 
-    def __init__(self, world, route, url, deadline_us, on_done):
+    def __init__(self, world, route, back, url, timers, on_done):
         self.world = world
         self.route = route
+        self.back = back  # route reversed, for the reply
         self.url = url
         self.on_done = on_done
-        self.eid = next(world.exchange_ids)
-        self.issued_at = world.now
-        self.deadline = world.now + deadline_us
+        self.eid = eid = next(world.exchange_ids)
+        self.issued_at = now = world.now
+        self.deadline = deadline = now + timers.delay
         # at the terminal service: None until the request first arrives, ()
         # while it is served, then the cached (ok, psize) reply
         self.served: tuple | None = None
-        world.exchanges[self.eid] = self
-        self.timers = world.timers(deadline_us)
-        self.timers.push(self.deadline, self, _Exchange._expire)
+        world.exchanges[eid] = self
+        self.timers = timers
+        timers.push(deadline, self, _Exchange._expire)
         self._attempt()
 
     def _attempt(self):
         world = self.world
         now = world.now
-        world.forward(Message("request", self.eid, self.route, 0, world.params.request_bytes), now)
-        retry = now + world.params.rto_us
+        world.forward(Message("request", self.eid, self.route, 0, world.request_bytes), now)
+        retry = now + world.rto_timers.delay
         if retry < self.deadline:
             world.rto_timers.push(retry, self, _Exchange._attempt)
 
@@ -307,21 +322,29 @@ class _Exchange:
 class _ServiceModel:
     """A service: one message at a time; a request calls its downstreams in turn."""
 
-    __slots__ = ("world", "busy_until", "downstream_paths", "psizes", "rx", "tx", "proc")
+    __slots__ = (
+        "world", "busy_until", "calls", "psizes", "header_bytes", "timeouts", "rx", "tx", "proc",
+    )
 
     def __init__(self, world, svc_spec, paths_by_ep):
         self.world = world
         self.busy_until = 0.0
         self.proc = world.params.service_proc_us
-        self.downstream_paths = paths_by_ep
+        self.header_bytes = world.params.header_bytes
+        self.timeouts = world.timers(world.params.downstream_timeout_us)
+        # entrypoint -> (hops, reversed hops, url) of each downstream call
+        self.calls = {
+            url: [(rp.hops, rp.hops[::-1], rp.url) for rp in rps] for url, rps in paths_by_ep.items()
+        }
         self.psizes = {ep.entrypoint: ep.psize for ep in svc_spec.endpoints}
         self.rx = self.tx = 0
 
     def on_message(self, now: float, msg: Message):
         # single-server processing: each message costs one proc slot
-        start = max(now, self.busy_until)
-        self.busy_until = start + self.proc
-        self.world.schedule_at(self.busy_until, self._handle, msg)
+        self.busy_until = t = (self.busy_until if self.busy_until > now else now) + self.proc
+        world = self.world
+        world._seq = seq = world._seq + 1
+        world._heappush(world._heap, (t, seq, self._handle, msg))
 
     def _handle(self, now: float, msg: Message):
         ex = self.world.exchanges.get(msg.exchange_id)
@@ -338,13 +361,12 @@ class _ServiceModel:
 
     def _call(self, ex: _Exchange, idx: int):
         """Start downstream ``idx`` of the served entrypoint, or reply after the last."""
-        paths = self.downstream_paths[ex.url]
-        if idx == len(paths):
+        calls = self.calls[ex.url]
+        if idx == len(calls):
             self._reply(ex, True, self.psizes[ex.url])
             return
-        rp = paths[idx]
-        timeout = self.world.params.downstream_timeout_us
-        _Exchange(self.world, rp.hops, rp.url, timeout, partial(self._called, ex, idx))
+        hops, back, url = calls[idx]
+        _Exchange(self.world, hops, back, url, self.timeouts, partial(self._called, ex, idx))
 
     def _called(self, ex: _Exchange, idx: int, ok: bool, _rtt: float):
         if ok:
@@ -354,9 +376,8 @@ class _ServiceModel:
 
     def _reply(self, ex: _Exchange, ok: bool, psize: int):
         ex.served = (ok, psize)
-        size = self.world.params.header_bytes + (psize if ok else 0)
-        resp = Message("response", ex.eid, ex.route[::-1], 0, size, ok=ok)
-        self.world.forward(resp, self.world.now)
+        size = self.header_bytes + psize if ok else self.header_bytes
+        self.world.forward(Message("response", ex.eid, ex.back, 0, size, ok), self.world.now)
 
 
 class _RouterModel:
@@ -370,8 +391,8 @@ class _RouterModel:
 
     def on_message(self, now: float, msg: Message):
         # hand off when processing ends; the link schedules the arrival
-        self.busy_until = max(now, self.busy_until) + self.proc
-        self.world.forward(msg, self.busy_until)
+        self.busy_until = t = (self.busy_until if self.busy_until > now else now) + self.proc
+        self.world.forward(msg, t)
 
 
 class SimWorld:
@@ -384,11 +405,14 @@ class SimWorld:
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
+        # bound here, not at import: a caller may swap ``heapq`` to count events
+        self._heappush = heapq.heappush
         self._digest = hashlib.sha256()
         self._times: list[float] = []  # event times not yet hashed
         self.exchanges: dict[int, _Exchange] = {}
         self._timer_queues: dict[float, _TimerQueue] = {}
         self.rto_timers = self.timers(self.params.rto_us)
+        self.request_bytes = self.params.request_bytes
         self.exchange_ids = count(1)
 
         self.entities: dict[str, object] = {}
@@ -402,6 +426,12 @@ class SimWorld:
         for (a, b), edge in sorted(topology.link_graph.items()):
             self.links[(a, b)] = _LinkDir(self, edge.impairments)
             self.links[(b, a)] = _LinkDir(self, edge.impairments)
+        # (sender, receiver) -> (sender model, link direction); the client
+        # is no model and reaches every service directly, with no link
+        self.hops = {(a, b): (self.entities[a], link) for (a, b), link in self.links.items()}
+        for name in topology.services:
+            self.hops[CLIENT, name] = (None, None)
+            self.hops[name, CLIENT] = (self.entities[name], None)
 
     # --- scheduling -----------------------------------------------------------
 
@@ -409,24 +439,24 @@ class SimWorld:
         """The queue of timers armed at now + ``delay_us``."""
         queue = self._timer_queues.get(delay_us)
         if queue is None:
-            queue = self._timer_queues[delay_us] = _TimerQueue(self)
+            queue = self._timer_queues[delay_us] = _TimerQueue(self, delay_us)
         return queue
 
-    def schedule_at(self, t: float, fn, *args):
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, fn, args))
+    def schedule_at(self, t: float, fn, arg=None):
+        self._seq = seq = self._seq + 1
+        self._heappush(self._heap, (t, seq, fn, arg))
 
     def run_until(self, t_end_us: float):
         heap = self._heap
         heappop = heapq.heappop
         times = self._times
         while heap and heap[0][0] <= t_end_us:
-            t, _seq, fn, args = heappop(heap)
+            t, _seq, fn, arg = heappop(heap)
             self.now = t
             times.append(t)
             if len(times) == DIGEST_BLOCK:
                 self._hash_times()
-            fn(t, *args)
+            fn(t, arg)
         self._hash_times()
         self.now = max(self.now, t_end_us)
 
@@ -440,18 +470,16 @@ class SimWorld:
     def forward(self, msg: Message, now: float):
         """Move a message from the entity at route[index] toward route[index+1]."""
         route = msg.route
-        src = route[msg.index]
-        model = self.entities.get(src)
+        i = msg.index
+        msg.index = i + 1
+        model, link = self.hops[route[i], route[i + 1]]
         if model is not None:
             model.tx += msg.size
-        msg.index += 1
-        dst = route[msg.index]
-        link = self.links.get((src, dst))
         if link is None:
             # no modeled link (external client attachment): direct handoff
             self._deliver(now, msg)
-            return
-        link.transmit(msg, now)
+        else:
+            link.transmit(msg, now)
 
     def _deliver(self, now: float, msg: Message):
         name = msg.route[msg.index]
@@ -466,7 +494,8 @@ class SimWorld:
 
     def link_param(self, a: str, b: str, option: str, t_seconds: float):
         """Value of an option on the a->b link direction at a virtual time."""
-        return getattr(self.links[(a, b)].params_at(t_seconds * S), option)
+        link = self.links[(a, b)]
+        return getattr(link.values[bisect_right(link.boundaries, t_seconds * S)], option)
 
     def timer_timeline(self, horizon_s: float) -> list[tuple[float, str, str]]:
         events = []
@@ -502,7 +531,8 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
 
     start_us = workload.start_s * S
     end_us = start_us + workload.duration_s * S
-    route = (CLIENT, workload.service)
+    route, back = (CLIENT, workload.service), (workload.service, CLIENT)
+    deadlines = world.timers(world.params.request_deadline_us)
     stats = {"issued": 0, "completed": 0, "failed": 0, "in_window": 0}
     rtts: Counter[float] = Counter()  # RTT -> requests; far fewer keys than requests
 
@@ -521,11 +551,11 @@ def run(world: SimWorld, workload: Workload) -> SimReport:
 
     def issue():
         stats["issued"] += 1
-        _Exchange(world, route, workload.entrypoint, world.params.request_deadline_us, on_done)
+        _Exchange(world, route, back, workload.entrypoint, deadlines, on_done)
 
     if closed:
         for _ in range(workload.clients):
-            world.schedule_at(start_us, lambda _t: issue())
+            world.schedule_at(start_us, lambda _t, _arg: issue())
     else:
         # one pending arrival at a time: each arrival schedules the next
         n = int(workload.rate * workload.duration_s)
