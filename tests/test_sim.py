@@ -598,5 +598,5 @@ class TestTracedContract:
         # no push bypasses the swapped module
         assert counter.pushes - counter.pops == len(world._heap)
         assert counter.pops >= 7 * report.completed
-        client_requests = [1 for kind, src, _t, _eid in sends if kind == "request" and src == CLIENT]
-        assert len(client_requests) == report.issued
+        client_requests = sum(kind == "request" and src == CLIENT for kind, src, _t, _eid in sends)
+        assert client_requests == report.issued
