@@ -20,6 +20,7 @@ from .deploy import (
 from .errors import OptionConflictError, TopoforgeError
 from .k8s import emit_k8s
 from .maxrate import measure_max_rate
+from .netplan import plan_network, setup_commands
 from .parser import parse_config
 from .sim import Workload, build_sim, run
 from .validation import validate
@@ -30,7 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_planned(p):
+        # the commands that plan addresses: the config and its address family
         p.add_argument("config", help="topology configuration file")
         group = p.add_mutually_exclusive_group()
         group.add_argument("--ipv4", dest="family", action="store_const", const="v4")
@@ -42,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--base-v6", default=None, help="IPv6 allocation base CIDR")
 
     gen = sub.add_parser("generate", help="emit deployment configuration files")
-    add_common(gen)
+    add_planned(gen)
     add_bases(gen)
     gen.add_argument("--target", choices=["compose", "k8s"], default="compose")
     gen.add_argument("--https", action="store_true")
@@ -51,15 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output", default="out", help="output directory")
     gen.add_argument("--seed", type=int, default=0)
 
-    val = sub.add_parser("validate", help="parse and validate only")
-    add_common(val)
+    val = sub.add_parser("validate", help="parse, validate and plan addresses; write nothing")
+    add_planned(val)
 
     ins = sub.add_parser("inspect", help="print the resolved topology and network plan")
-    add_common(ins)
+    add_planned(ins)
     add_bases(ins)
 
     simp = sub.add_parser("simulate", help="run the in-process simulation harness")
-    add_common(simp)
+    simp.add_argument("config", help="topology configuration file")
     simp.add_argument("--service", default=None, help="target service (default: first)")
     simp.add_argument("--entrypoint", default="/")
     simp.add_argument("--mode", choices=["closed", "open"], default="closed")
@@ -76,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args):
     text = Path(args.config).read_text()
     cfg = parse_config(text)
-    topo = validate(cfg, family=args.family)
+    topo = validate(cfg)
     for w in topo.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return topo
@@ -129,6 +131,7 @@ def cmd_generate(args) -> int:
 
 def cmd_validate(args) -> int:
     topo = _load(args)
+    plan_network(topo, family=args.family)
     print(
         f"ok: {len(topo.services)} services, {len(topo.routers)} routers, "
         f"{len(topo.path_table)} paths, {len(topo.link_graph)} links"
@@ -139,8 +142,6 @@ def cmd_validate(args) -> int:
 def cmd_inspect(args) -> int:
     base = _base(args)
     topo = _load(args)
-    from .netplan import plan_network, setup_commands
-
     np = plan_network(topo, family=args.family, base=base)
     print("call graph:")
     for rp in topo.path_table:

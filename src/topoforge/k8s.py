@@ -5,8 +5,10 @@ carrying a service's runtime config and any timer script; per HTTPS service, one
 carrying its TLS material.  The pod mounts the ConfigMap and the Secret as
 one projected volume at ``/etc/topoforge``, the TLS files under ``certs/``;
 the container runs the compose target's command, setup before the main
-process.  The cluster target uses the flat pod network; per-link subnets are
-not reproduced there, impairments still apply to container egress interfaces.
+process.  That command names the compose plan's interfaces and gateways,
+but a pod has only ``eth0``: fig4's ``frontend`` runs ``tc qdisc add dev
+eth1 ...`` and ``ip route add 10.0.4.2/32 via 10.0.8.3`` under ``set -e``,
+so the container exits before its main process starts.
 """
 
 from __future__ import annotations

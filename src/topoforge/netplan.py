@@ -1,8 +1,9 @@
 """Deterministic network planning.
 
-Allocates subnets and addresses, and plans as data the static host routes
-that make traffic follow the declared hop sequences (and replies retrace them)
-and each interface's egress options.  This module alone renders that data as
+Holds every addressing rule: cuts and names the subnets within the
+address-family limits and allocates addresses.  Plans as data the static host
+routes that make traffic follow the declared hop sequences (and replies
+retrace them) and each interface's egress options.  This module alone renders that data as
 ``ip``/``tc``/``sysctl`` commands: setup commands and timer scripts, whose
 netem parameters follow the keywords and order of ``model.OPTION_KINDS``.
 """
@@ -12,9 +13,9 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass, field, replace
 
-from .errors import CapacityExceededError, ConflictingRouteError, OptionConflictError
+from .errors import CapacityExceededError, ConflictingRouteError, OptionConflictError, ValidationError
 from .model import OPTION_KINDS, ImpairmentSpec, format_number, format_us, merge_declarations
-from .validation import ValidatedTopology, check_plan_capacity, link_key, link_subnet_name
+from .validation import ValidatedTopology, link_key
 
 DEFAULT_BASE_V4 = "10.0.0.0/8"
 DEFAULT_BASE_V6 = "fd00::/16"
@@ -22,8 +23,46 @@ DEFAULT_BASE_V6 = "fd00::/16"
 PREFIX_V4 = 22
 PREFIX_V6 = 64
 
+# Address-family capacity limits for the single-host deployment target.
+MAX_SUBNETS_V4 = 2**22 - 1
+MAX_HOSTS_PER_SUBNET_V4 = 2**10 - 2
+MAX_SUBNETS_V6 = 2**64 - 1
+MAX_HOSTS_PER_SUBNET_V6 = 2**64
+MAX_SERVICES = 64_510
+
 BRIDGE_NET = "bridge"
 _UNSHAPED = ImpairmentSpec()  # what the boot-time netem line changes from
+
+
+def check_capacity(family: str, n_subnets: int, max_hosts_in_subnet: int, n_services: int):
+    """Raise CapacityExceededError when a plan would exceed the address-family limits.
+
+    Takes raw counts so boundary conditions can be tested without
+    materializing huge topologies.
+    """
+    if family == "v4":
+        max_subnets, max_hosts = MAX_SUBNETS_V4, MAX_HOSTS_PER_SUBNET_V4
+    elif family == "v6":
+        max_subnets, max_hosts = MAX_SUBNETS_V6, MAX_HOSTS_PER_SUBNET_V6
+    else:
+        raise ValueError(f"unknown address family {family!r}")
+    if n_subnets > max_subnets:
+        raise CapacityExceededError(
+            f"{n_subnets} subnets exceed the {family} limit of {max_subnets}"
+        )
+    if max_hosts_in_subnet > max_hosts:
+        raise CapacityExceededError(
+            f"{max_hosts_in_subnet} hosts in one subnet exceed the {family} limit of {max_hosts}"
+        )
+    if n_services > MAX_SERVICES:
+        raise CapacityExceededError(
+            f"{n_services} services exceed the {MAX_SERVICES} host-exposable limit"
+        )
+
+
+def link_subnet_name(a: str, b: str) -> str:
+    """Subnet name of a link; allocate_networks rejects two links with one name."""
+    return "link_{}_{}".format(*link_key(a, b))
 
 
 @dataclass(frozen=True)
@@ -86,11 +125,39 @@ def allocate_networks(
 ) -> NetPlan:
     """Allocate subnets and interface addresses.
 
+    Each adjacent pair on a routed path gets a link subnet (its two ends and
+    the gateway); the ends of direct pairs, the entities on no link subnet
+    and ``extra_bridge_members`` share the bridge.  Raises on two links with
+    one subnet name, then on the address-family limits, then on the base.
+
     Deterministic: link pairs in lexicographic order step sequential subnets
     out of ``base``; within each subnet, members sorted by name get host
     parts from .2 (or ::2) upward.  Each entity's interfaces are named
     eth0, eth1, ... in subnet allocation order.
     """
+    direct_ends, routed = set(), set()
+    for rp in t.path_table:
+        if len(rp.hops) == 2:
+            direct_ends.update(rp.hops)
+        else:
+            routed.update(link_key(x, y) for x, y in zip(rp.hops, rp.hops[1:]))
+    routed_ends = {n for pair in routed for n in pair}
+    # in declaration order, then the extra members not yet on the bridge
+    bridge = dict.fromkeys(n for n in t.entities if n in direct_ends or n not in routed_ends)
+    bridge.update(dict.fromkeys(extra_bridge_members))
+    by_name: dict[str, tuple[str, str]] = {}  # link subnet name -> pair, in pair order
+    for pair in sorted(routed):
+        name = link_subnet_name(*pair)
+        first = by_name.setdefault(name, pair)
+        if first != pair:
+            raise ValidationError(
+                f"links '{'<->'.join(first)}' and '{'<->'.join(pair)}' would share the "
+                f"subnet name '{name}'"
+            )
+    needed = len(by_name) + (1 if bridge else 0)
+    max_hosts = max(3 if by_name else 0, len(bridge) + 1)
+    check_capacity(family, needed, max_hosts, len(t.services))
+
     version, prefix = (4, PREFIX_V4) if family == "v4" else (6, PREFIX_V6)
     base = base or (DEFAULT_BASE_V4 if family == "v4" else DEFAULT_BASE_V6)
     space = ipaddress.ip_network(base)
@@ -100,34 +167,23 @@ def allocate_networks(
         raise CapacityExceededError(
             f"base network {base} is smaller than the /{prefix} subnet size"
         )
-
-    np = NetPlan(family=family)
-    known = set(t.bridge_members)
-    bridge_members = t.bridge_members + [m for m in extra_bridge_members if m not in known]
-    check_plan_capacity(family, len(t.routed_pairs), len(bridge_members), len(t.services))
-    needed = len(t.routed_pairs) + (1 if bridge_members else 0)
     held = 1 << (prefix - space.prefixlen)
     if held < needed:
         raise CapacityExceededError(
             f"base network {base} holds {held} /{prefix} subnets; the plan needs {needed}"
         )
-    pool = space.subnets(new_prefix=prefix)
 
-    members_of: list[tuple[Subnet, list[str]]] = []
-    if bridge_members:
-        sn = Subnet(name=BRIDGE_NET, cidr=str(next(pool)))
-        members_of.append((sn, sorted(bridge_members)))
-    for a, b in t.routed_pairs:
-        sn = Subnet(name=link_subnet_name(a, b), cidr=str(next(pool)))
-        np._by_link[(a, b)] = sn.name
-        members_of.append((sn, [a, b]))
-
-    for sn, members in members_of:
-        np.subnets.append(sn)
-        hosts = sn.network.network_address + 2  # .1/::1 is the docker gateway
+    np = NetPlan(family=family)
+    members_of = [(BRIDGE_NET, sorted(bridge))] if bridge else []
+    for name, pair in by_name.items():
+        np._by_link[pair] = name
+        members_of.append((name, pair))
+    for (name, members), network in zip(members_of, space.subnets(new_prefix=prefix)):
+        np.subnets.append(Subnet(name=name, cidr=str(network)))
+        hosts = network.network_address + 2  # .1/::1 is the docker gateway
         for i, member in enumerate(members):
             attached = np.attached.setdefault(member, {})
-            attached[sn.name] = (str(hosts + i), f"eth{len(attached)}")
+            attached[name] = (str(hosts + i), f"eth{len(attached)}")
     return np
 
 

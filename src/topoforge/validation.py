@@ -1,8 +1,9 @@
 """Structural validation of a parsed topology.
 
 Resolves every declared connection path against the entity table, enforces
-the router linkage rule, builds the service call graph and the link graph,
-and runs capacity checks for the chosen address family.
+the router linkage rule, and builds the service call graph and the link
+graph.  Addresses are no concern here: ``netplan`` cuts the subnets and
+holds every addressing rule.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import graphlib
 from dataclasses import dataclass, field, replace
 
 from .errors import (
-    CapacityExceededError,
     CyclicCallGraphError,
     DanglingRouterConnectionError,
     DuplicatePortError,
@@ -37,13 +37,6 @@ from .model import (
     merge_declarations,
 )
 
-# Address-family capacity limits for the single-host deployment target.
-MAX_SUBNETS_V4 = 2**22 - 1
-MAX_HOSTS_PER_SUBNET_V4 = 2**10 - 2
-MAX_SUBNETS_V6 = 2**64 - 1
-MAX_HOSTS_PER_SUBNET_V6 = 2**64
-MAX_SERVICES = 64_510
-
 MIN_PORT = 1024
 MAX_PORT = 65_535
 # Linux sends packets with IP TTL 64 (net.ipv4.ip_default_ttl), and each
@@ -51,48 +44,9 @@ MAX_PORT = 65_535
 DEFAULT_TTL = 64
 
 
-def check_capacity(family: str, n_subnets: int, max_hosts_in_subnet: int, n_services: int):
-    """Raise CapacityExceededError when a plan would exceed the address-family limits.
-
-    Takes raw counts so boundary conditions can be tested without
-    materializing huge topologies.
-    """
-    if family == "v4":
-        max_subnets, max_hosts = MAX_SUBNETS_V4, MAX_HOSTS_PER_SUBNET_V4
-    elif family == "v6":
-        max_subnets, max_hosts = MAX_SUBNETS_V6, MAX_HOSTS_PER_SUBNET_V6
-    else:
-        raise ValueError(f"unknown address family {family!r}")
-    if n_subnets > max_subnets:
-        raise CapacityExceededError(
-            f"{n_subnets} subnets exceed the {family} limit of {max_subnets}"
-        )
-    if max_hosts_in_subnet > max_hosts:
-        raise CapacityExceededError(
-            f"{max_hosts_in_subnet} hosts in one subnet exceed the {family} limit of {max_hosts}"
-        )
-    if n_services > MAX_SERVICES:
-        raise CapacityExceededError(
-            f"{n_services} services exceed the {MAX_SERVICES} host-exposable limit"
-        )
-
-
-def check_plan_capacity(family: str, n_routed: int, n_bridge: int, n_services: int):
-    """check_capacity for one link subnet per routed pair (3 hosts: two ends
-    and the gateway) plus, with members, one bridge subnet."""
-    n_subnets = n_routed + (1 if n_bridge else 0)
-    max_hosts = max(3 if n_routed else 0, n_bridge + 1)
-    check_capacity(family, n_subnets, max_hosts, n_services)
-
-
 def link_key(a: str, b: str) -> tuple[str, str]:
     """Canonical (sorted) name pair identifying an undirected link."""
     return (a, b) if a <= b else (b, a)
-
-
-def link_subnet_name(a: str, b: str) -> str:
-    """Subnet name of a link; validate rejects two links with one name."""
-    return "link_{}_{}".format(*link_key(a, b))
 
 
 @dataclass(frozen=True)
@@ -129,11 +83,6 @@ class ValidatedTopology:
     path_table: list[ResolvedPath]
     # every entity, in declaration order
     entities: dict[str, EntitySpec]
-    # adjacent pairs on routed paths (one link subnet each), sorted
-    routed_pairs: list[tuple[str, str]]
-    # entities on the shared bridge subnet, in declaration order: the ends of
-    # direct pairs plus the entities on no link subnet at all
-    bridge_members: list[str]
     # routers that lie on at least one resolved path
     referenced_routers: set[str]
     # service -> entrypoint -> resolved paths, in connection order
@@ -170,8 +119,8 @@ def _check_timer(entity: str, base: ImpairmentSpec, t: TimerSpec):
     _check_impairments(entity, substituted)
 
 
-def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
-    """Resolve and validate a parsed topology for the given address family."""
+def validate(cfg: TopologyConfig) -> ValidatedTopology:
+    """Resolve and validate a parsed topology."""
     services = cfg.services()
     routers = cfg.routers()
     warnings: list[str] = []
@@ -224,15 +173,10 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
 
     _reject_cycles([((rp.service, rp.entrypoint), (rp.terminal, rp.url)) for rp in path_table])
 
-    direct, routed = set(), set()
     paths_by_service = {
         name: {ep.entrypoint: [] for ep in svc.endpoints} for name, svc in services.items()
     }
     for rp in path_table:
-        if len(rp.hops) == 2:
-            direct.add(link_key(*rp.hops))
-        else:
-            routed.update(link_key(x, y) for x, y in zip(rp.hops, rp.hops[1:]))
         crossed = len(rp.hops) - 2
         if crossed >= DEFAULT_TTL:
             warnings.append(
@@ -240,28 +184,12 @@ def validate(cfg: TopologyConfig, family: str = "v4") -> ValidatedTopology:
                 f"routers: packets start at IP TTL {DEFAULT_TTL}, so router {DEFAULT_TTL} drops them"
             )
         paths_by_service[rp.service][rp.entrypoint].append(rp)
-    direct_ends = {n for pair in direct for n in pair}
-    routed_ends = {n for pair in routed for n in pair}
-    bridge_members = [n for n in cfg.entities if n in direct_ends or n not in routed_ends]
-    routed_pairs = sorted(routed)
-    named: dict[str, tuple[str, str]] = {}
-    for pair in routed_pairs:
-        first = named.setdefault(link_subnet_name(*pair), pair)
-        if first != pair:
-            raise ValidationError(
-                f"links '{'<->'.join(first)}' and '{'<->'.join(pair)}' would share the "
-                f"subnet name '{link_subnet_name(*pair)}'"
-            )
-
-    check_plan_capacity(family, len(routed), len(bridge_members), len(services))
     return ValidatedTopology(
         services=services,
         routers=routers,
         link_graph=link_graph,
         path_table=path_table,
         entities=dict(cfg.entities),
-        routed_pairs=routed_pairs,
-        bridge_members=bridge_members,
         referenced_routers=referenced_routers,
         paths_by_service=paths_by_service,
         warnings=warnings,

@@ -141,6 +141,20 @@ def colliding_links_config() -> str:
     )
 
 
+def route_conflict_config() -> str:
+    """Two paths from a to b whose routes disagree: r0->r2->b has a reach b
+    via r0, and r2->b via r2."""
+    return (
+        "a:\n  type: service\n  port: 9000\n  endpoints:\n"
+        "    - entrypoint: /\n      psize: 1\n      connections:\n"
+        "        - path: r0->r2->b\n          url: /\n"
+        "        - path: r2->b\n          url: /\n"
+        "r0:\n  type: router\n  connections:\n    - path: r2\n"
+        "r2:\n  type: router\n  connections:\n    - path: b\n"
+        "b:\n  type: service\n  port: 9001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
+    )
+
+
 def random_topology_text(rng: random.Random) -> str:
     """A random valid topology: services call later services through routers.
 

@@ -20,9 +20,9 @@ from topoforge.errors import CapacityExceededError
 from topoforge.fib import check_path_fidelity
 from topoforge.maxrate import measure_max_rate
 from topoforge.model import Rate
+from topoforge.netplan import check_capacity
 from topoforge.runtime import Downstream, EndpointRuntime, Microservice, RuntimeConfig
 from topoforge.sim import MS, ModelParams
-from topoforge.validation import check_capacity
 
 from conftest import (
     breadth_config,

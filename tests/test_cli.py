@@ -14,7 +14,7 @@ from cryptography.hazmat.primitives import serialization
 import topoforge
 from topoforge import cli
 
-from conftest import colliding_links_config, loss_chain_config
+from conftest import breadth_config, colliding_links_config, loss_chain_config, route_conflict_config
 
 DATA = Path(__file__).parent / "data"
 FIG4 = str(DATA / "fig4.yml")
@@ -149,11 +149,15 @@ def test_inspect_output_golden(argv, golden, capsys):
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
-def test_simulate_json(capsys):
-    assert cli.main(["simulate", FIG4, "--duration", "0.05", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["completed"] > 0
-    assert report["failed"] == 0
+def test_simulate_json(tmp_path, capsys):
+    # 1100 leaves on one bridge exceed v4 addressing, which simulate never plans
+    breadth = tmp_path / "breadth.yml"
+    breadth.write_text(breadth_config(1100))
+    for config in (FIG4, breadth):
+        assert cli.main(["simulate", str(config), "--duration", "0.05", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["completed"] > 0
+        assert report["failed"] == 0
 
 
 def test_simulate_text_golden(capsys):
@@ -282,6 +286,20 @@ def test_colliding_link_subnet_names_exit_1(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "inspect", "generate"])
+def test_route_conflicts_exit_1(command, tmp_path, capsys):
+    # validate plans the routes that generate deploys, so it fails the same way
+    config = tmp_path / "conflict.yml"
+    config.write_text(route_conflict_config())
+    out = tmp_path / "out"
+    argv = [command, str(config)] + (["--output", str(out)] if command == "generate" else [])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: entity 'a', field 'path': needs routes to 10.0.8.2 via both 10.0.0.3 and 10.0.4.3\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["b_c", "S1"])
 def test_k8s_rejects_names_kubernetes_refuses(name, tmp_path, capsys):
     config = tmp_path / "topo.yml"
@@ -318,10 +336,20 @@ def test_k8s_accepts_shop_demo(tmp_path):
     assert (out / "manifests" / "frontendproxy-service.yaml").is_file()
 
 
-@pytest.mark.parametrize("command", ["validate", "simulate"])
-def test_base_flags_only_where_read(command, capsys):
-    assert cli.main([command, FIG4, "--base-v4", "10.0.0.0/8"]) == 2
-    assert "unrecognized arguments: --base-v4" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("validate", ["--base-v4", "10.0.0.0/8"]),
+        ("simulate", ["--base-v4", "10.0.0.0/8"]),
+        # simulate plans no addresses, so it takes no address family
+        ("simulate", ["--ipv4"]),
+        ("simulate", ["--ipv6"]),
+    ],
+    ids=["validate", "simulate", "simulate-ipv4", "simulate-ipv6"],
+)
+def test_base_flags_only_where_read(command, flags, capsys):
+    assert cli.main([command, FIG4, *flags]) == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
 
 SAMPLES = sorted((Path(__file__).parent.parent / "topologies").glob("*.yml"))

@@ -128,7 +128,7 @@ class TestRuntimeConfigPayload:
     @pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
     @pytest.mark.parametrize("kw", [{}, ALL_FLAGS], ids=["plain", "all-flags"])
     def test_json_text_is_the_indenting_encoders(self, path, kw):
-        topology = tf.validate(tf.parse_config(path.read_text()), family=kw.get("family", "v4"))
+        topology = tf.validate(tf.parse_config(path.read_text()))
         _np, plan = _plan(topology, **kw)
         services = [c for c in plan.containers if c.config_payload is not None]
         assert services
@@ -172,7 +172,7 @@ class TestKubernetes:
     )
     def test_every_container_starts_as_on_compose(self, path, kw):
         # setup, timers and the main process run in one command on both targets
-        topology = tf.validate(tf.parse_config(path.read_text()), family=kw.get("family", "v4"))
+        topology = tf.validate(tf.parse_config(path.read_text()))
         _np, plan = _plan(topology, **kw)
         services = yaml.safe_load(dict(tf.emit_compose(plan))["compose.yml"])["services"]
         files = dict(tf.emit_k8s(plan))
@@ -209,7 +209,7 @@ class TestKubernetes:
     @pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
     @pytest.mark.parametrize("kw", [{}, {"tracing": True}, ALL_FLAGS], ids=["plain", "tracing", "all-flags"])
     def test_every_configmap_is_mounted(self, path, kw):
-        topology = tf.validate(tf.parse_config(path.read_text()), family=kw.get("family", "v4"))
+        topology = tf.validate(tf.parse_config(path.read_text()))
         _np, plan = _plan(topology, **kw)
         docs = [yaml.safe_load(text) for _rel, text in tf.emit_k8s(plan)]
         configmaps = {d["metadata"]["name"] for d in docs if d["kind"] == "ConfigMap"}

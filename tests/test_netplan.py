@@ -32,7 +32,7 @@ from topoforge.netplan import (
     timer_window,
 )
 
-from conftest import delay_chain_config, make_topology, shared_first_hop_config
+from conftest import delay_chain_config, make_topology, route_conflict_config, shared_first_hop_config
 
 
 def _setup(t, np) -> dict[str, list[str]]:
@@ -365,19 +365,10 @@ class TestTimers:
 
 class TestRouteConflicts:
     def test_diverging_paths_to_same_final_link_rejected(self):
-        text = (
-            "a:\n  type: service\n  port: 9000\n  endpoints:\n"
-            "    - entrypoint: /\n      psize: 1\n      connections:\n"
-            "        - path: r0->r2->b\n          url: /\n"
-            "        - path: r2->b\n          url: /\n"
-            "r0:\n  type: router\n  connections:\n    - path: r2\n"
-            "r2:\n  type: router\n  connections:\n    - path: b\n"
-            "b:\n  type: service\n  port: 9001\n  endpoints:\n    - entrypoint: /\n      psize: 1\n"
-        )
         from topoforge.errors import ConflictingRouteError
 
         with pytest.raises(ConflictingRouteError):
-            plan_network(make_topology(text))
+            plan_network(make_topology(route_conflict_config()))
 
 
 class TestDelayChain:

@@ -19,11 +19,12 @@ from topoforge.errors import (
     ValidationError,
 )
 from topoforge.model import OPTION_KINDS, Rate
-from topoforge.validation import (
+from topoforge.netplan import (
     MAX_HOSTS_PER_SUBNET_V4,
     MAX_SERVICES,
     MAX_SUBNETS_V4,
     check_capacity,
+    plan_network,
 )
 
 from conftest import colliding_links_config, depth_config, make_topology, shared_first_hop_config
@@ -53,10 +54,12 @@ class TestExampleTopology:
         ]
 
     def test_pairs_and_bridge(self, fig4_topology):
-        t = fig4_topology
-        assert t.routed_pairs == [("db", "r1"), ("frontend", "r1")]
-        assert t.bridge_members == ["frontend", "payment"]
-        assert t.bridge_members  # the bridge subnet is needed
+        # the bridge, then one link subnet per routed pair, in pair order
+        np = plan_network(fig4_topology)
+        assert [s.name for s in np.subnets] == ["bridge", "link_db_r1", "link_frontend_r1"]
+        assert [e for e, by_subnet in np.attached.items() if "bridge" in by_subnet] == [
+            "frontend", "payment"
+        ]
 
     def test_order_preserved(self, fig4_topology):
         assert list(fig4_topology.entities) == ["frontend", "r1", "db", "payment"]
@@ -148,7 +151,10 @@ class TestRouterLinkage:
         )
         t = make_topology(text)
         assert t.path_table[0].hops == ("a", "r1", "r2", "b")
-        assert t.routed_pairs == [("a", "r1"), ("b", "r2"), ("r1", "r2")]
+        np = plan_network(t)
+        assert [s.name for s in np.subnets] == ["link_a_r1", "link_b_r2", "link_r1_r2"]
+        # every entity is on a link subnet, so there is no bridge
+        assert not [e for e, by_subnet in np.attached.items() if "bridge" in by_subnet]
 
 
 class TestCallGraph:
@@ -513,10 +519,10 @@ class TestSharedRules:
 
 def test_colliding_link_subnet_names_rejected():
     with pytest.raises(ValidationError) as ei:
-        make_topology(colliding_links_config())
+        plan_network(make_topology(colliding_links_config()))
     assert type(ei.value) is ValidationError
     assert str(ei.value) == (
         "links 'a<->b_c' and 'a_b<->c' would share the subnet name 'link_a_b_c'"
     )
     # the same shape with names that cannot collide is fine
-    make_topology(colliding_links_config().replace("a_b", "ab").replace("b_c", "bc"))
+    plan_network(make_topology(colliding_links_config().replace("a_b", "ab").replace("b_c", "bc")))

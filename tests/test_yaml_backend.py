@@ -89,7 +89,7 @@ def test_fig4_compose_golden(both, fig4_topology):
 
 @pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
 def test_k8s_manifests_all_options(both, path):
-    topology = tf.validate(tf.parse_config(path.read_text()), family="v6")
+    topology = tf.validate(tf.parse_config(path.read_text()))
     _np, plan = plan_deployment(topology, GenerationOptions(**ALL_FLAGS))
     chosen, pure = both(lambda: tf.emit_k8s(plan))
     assert chosen == pure
