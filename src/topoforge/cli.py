@@ -106,13 +106,6 @@ def _options(args) -> GenerationOptions:
     )
 
 
-def _write(path: Path, data):
-    if isinstance(data, bytes):
-        path.write_bytes(data)
-    else:
-        path.write_text(data)
-
-
 def cmd_generate(args) -> int:
     opts = _options(args)
     topo = _load(args)
@@ -122,10 +115,15 @@ def cmd_generate(args) -> int:
     # one mkdir per output directory, not one per file
     for directory in sorted({rel.rpartition("/")[0] for rel, _ in files}):
         (out / directory).mkdir(parents=True, exist_ok=True)
-    for rel, data in files:
-        _write(out / rel, data)
-    for rel, _ in files:
-        print(f"wrote {out / rel}")
+    # each file's path is str(out / rel), joined as a string: no Path per file
+    base = str(out)
+    prefix = "" if base == "." else base if base.endswith("/") else base + "/"
+    paths = [prefix + rel for rel, _ in files]
+    for path, (_rel, data) in zip(paths, files):
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 

@@ -136,4 +136,5 @@ def emit_k8s(plan: DeploymentPlan) -> list[tuple[str, str]]:
             docs.append((f"{c.name}-secret.yaml", _secret(c, plan.materials)))
         docs.append((f"{c.name}-deployment.yaml", _deployment(c)))
         docs.append((f"{c.name}-service.yaml", _service(c)))
-    return [(f"{MANIFEST_DIR}/{name}", yamlio.dump(doc)) for name, doc in docs]
+    texts = yamlio.dump_each(doc for _name, doc in docs)
+    return [(f"{MANIFEST_DIR}/{name}", text) for (name, _doc), text in zip(docs, texts)]

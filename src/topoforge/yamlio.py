@@ -1,21 +1,25 @@
-"""The YAML backend every load and dump in topoforge goes through.
+"""The YAML reader and writer every load and dump in topoforge goes through.
 
-libyaml's C classes when PyYAML was built with them, else PyYAML's pure-Python
-classes.  ``load`` builds what SafeLoader builds, in one pass over the
-parser's events with no node tree, but raises a one-line ``ConfigSyntaxError``
-at its line for any error, a duplicate or unhashable key, a tagged collection
-or nesting deeper than ``MAX_DEPTH`` included; only the scanner's and parser's
-errors are worded by the backend.  ``dump`` walks the document's dicts, lists
-and scalars itself and feeds the emitter a stream of ``yaml.events``, so no
-node tree is built and no representer runs.  Both emitters write the same
-bytes for that stream: they differ only in where they fold long scalars, and
-``dump`` uses a line width wide enough that nothing is ever folded.  The
-writer makes no anchors: a sub-object that a document holds twice is written
-out twice.
+Reading has two backends: libyaml's C classes when PyYAML was built with them,
+else PyYAML's pure-Python classes.  ``load`` builds what SafeLoader builds, in
+one pass over the parser's events with no node tree, but raises a one-line
+``ConfigSyntaxError`` at its line for any error, a duplicate or unhashable key,
+a tagged collection or nesting deeper than ``MAX_DEPTH`` included; only the
+scanner's and parser's errors are worded by the backend.
+
+Writing has one writer and no backend choice.  ``dump`` and ``dump_each``
+walk each document's dicts, lists and scalars and write block-style text
+themselves, with no events, node tree or representer.  Each string is
+written plain, single-quoted or double-quoted by the rules libyaml's emitter
+applies, so the bytes are what ``yaml.dump`` writes through ``CSafeDumper``
+with ``sort_keys=False``, ``default_flow_style=False`` and a line width that
+nothing reaches: no line is ever folded, however long.  The writer makes no
+anchors: a sub-object that a document holds twice is written out twice.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 
 import yaml
@@ -28,9 +32,7 @@ from yaml.resolver import Resolver
 from .errors import ConfigSyntaxError
 
 Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-WIDTH = 100000
 # collections open at once: the config schema nests 8 deep, and code that
 # recurses once per level, as repr and == do, stops at 1000 levels
 MAX_DEPTH = 200
@@ -39,20 +41,6 @@ _STR_TAG = Resolver.DEFAULT_SCALAR_TAG
 # the tag a collection may carry, besides none and the non-specific "!"
 _TAGS = {MappingStartEvent: "tag:yaml.org,2002:map", SequenceStartEvent: "tag:yaml.org,2002:seq"}
 _KEY, _ITEM = object(), object()  # what an open mapping or sequence awaits next
-# the text and tag that SafeDumper writes for every other scalar
-_represent = SafeRepresenter()
-_SCALARS = {
-    bool: _represent.represent_bool,
-    int: _represent.represent_int,
-    float: _represent.represent_float,
-    type(None): _represent.represent_none,
-}
-_START = (yaml.StreamStartEvent(), yaml.DocumentStartEvent(explicit=False))
-_MAP_START = yaml.MappingStartEvent(None, None, True, flow_style=False)
-_MAP_END = yaml.MappingEndEvent()
-_SEQ_START = yaml.SequenceStartEvent(None, None, True, flow_style=False)
-_SEQ_END = yaml.SequenceEndEvent()
-
 
 def load(text: str):
     """The single document in ``text`` as dicts, lists and scalars; None if it is empty.
@@ -167,40 +155,190 @@ def _anchor(anchors: dict, event, value):
 
 def dump(doc) -> str:
     """Block-style YAML with keys in insertion order and no folded lines."""
-    return yaml.emit(_document(doc), Dumper=Dumper, width=WIDTH)
+    return dump_each((doc,))[0]
 
 
-def _document(doc):
-    # a string is written plain when its plain form reads back as a string,
-    # else quoted; each distinct string is resolved once per document
-    plain: dict[str, tuple[bool, bool]] = {}
-    yield from _START
-    # the open containers, innermost last: an iterator over each one's items
-    # (a mapping's keys and values in turn) and the event that closes it
-    stack = [(iter((doc,)), yaml.DocumentEndEvent(explicit=False))]
-    while stack:
-        items, end = stack[-1]
-        for data in items:
-            kind = type(data)
-            if kind is str:
-                implicit = plain.get(data)
-                if implicit is None:
-                    implicit = plain[data] = (_plain_tag(data) == _STR_TAG, True)
-                yield ScalarEvent(None, _STR_TAG, implicit, data)
-            elif kind is dict:
-                yield _MAP_START
-                stack.append((chain.from_iterable(data.items()), _MAP_END))
-                break
-            elif kind is list:
-                yield _SEQ_START
-                stack.append((iter(data), _SEQ_END))
-                break
-            elif kind in _SCALARS:
-                node = _SCALARS[kind](data)
-                yield ScalarEvent(None, node.tag, (True, False), node.value)
-            else:
-                raise RepresenterError("cannot represent an object", data)
+def dump_each(docs) -> list[str]:
+    """``dump`` of each document, in order, working out each distinct string's
+    quoting once for all of them; nothing is kept once the call returns."""
+    table: dict = {}  # string -> its written text, shared by every document of the call
+    keys: dict = {}  # string key -> its written text, for the keys written before ": "
+    return [_write(doc, table, keys) for doc in docs]
+
+
+def _write(doc, table: dict, keys: dict) -> str:
+    if type(doc) is str:  # a root scalar's later lines are indented too
+        return _text(table, doc, "  ") + "\n"
+    out: list[str] = []
+    _item(out, doc, "", "", table, keys)
+    return "".join(out)
+
+
+# A collection's keys or dashes sit at column len(pad).  Its first line starts
+# with ``first`` instead of ``pad``: with "- " or ": " when the collection is
+# an item or an explicit key's value, written on that item's line.  Each line
+# goes into ``out`` as its pieces, most of them strings that exist already.
+# A scalar's later lines are indented two columns past its collection's pad.
+
+
+def _mapping(out: list, data: dict, pad: str, first: str, table: dict, keys: dict):
+    inner = pad + "  "
+    prefix = first
+    for key, value in data.items():
+        k = keys.get(key)
+        if k is None:
+            k = _simple_key(key, inner, table, keys)
+            if k is None:  # libyaml writes it after "? ", and its value after ": "
+                text = _text(table, key, inner) if type(key) is str else _scalar(key)
+                out += prefix, "? ", text, "\n"
+                _item(out, value, inner, pad + ": ", table, keys)
+                prefix = pad
+                continue
+        kind = type(value)
+        if kind is str:
+            v = table.get(value)
+            if v is None:
+                v = _text(table, value, inner)
+            out += prefix, k, ": ", v, "\n"
+        elif kind is dict and value:
+            out += prefix, k, ":\n"
+            _mapping(out, value, inner, inner, table, keys)
+        elif kind is list and value:  # a sequence in a mapping is not indented
+            out += prefix, k, ":\n"
+            _sequence(out, value, pad, pad, table, keys)
         else:
-            stack.pop()
-            yield end
-    yield yaml.StreamEndEvent()
+            out += prefix, k, ": ", _scalar(value), "\n"
+        prefix = pad
+
+
+def _sequence(out: list, data: list, pad: str, first: str, table: dict, keys: dict):
+    inner = pad + "  "
+    lead, dash = first + "- ", pad + "- "
+    for item in data:
+        if type(item) is str:
+            v = table.get(item)
+            if v is None:
+                v = _text(table, item, inner)
+            out += lead, v, "\n"
+        else:
+            _item(out, item, inner, lead, table, keys)
+        lead = dash
+
+
+def _item(out: list, data, pad: str, lead: str, table: dict, keys: dict):
+    """``data`` written after ``lead``, on its line; ``lead`` is as long as ``pad``."""
+    kind = type(data)
+    if kind is dict and data:
+        _mapping(out, data, pad, lead, table, keys)
+    elif kind is list and data:
+        _sequence(out, data, pad, lead, table, keys)
+    else:
+        text = _text(table, data, pad) if kind is str else _scalar(data)
+        out += lead, text, "\n"
+
+
+# a simple key is at most this many UTF-8 bytes long and on one line
+_SIMPLE_KEY_BYTES = 128
+# what libyaml takes as a line break
+_BREAKS = frozenset("\n\r\x85\u2028\u2029")
+
+
+def _simple_key(key, indent: str, table: dict, keys: dict) -> str | None:
+    """``key`` as written before ": ", remembered in ``keys`` if it is a string;
+    None if libyaml writes it after "? " instead."""
+    if type(key) is not str:
+        text = _scalar(key)
+        return text if len(text) <= _SIMPLE_KEY_BYTES else None
+    if not _BREAKS.isdisjoint(key) or len(key.encode()) > _SIMPLE_KEY_BYTES:
+        return None
+    text = keys[key] = _text(table, key, indent)
+    return text
+
+
+_represent = SafeRepresenter()
+
+
+def _scalar(data) -> str:
+    """How a value other than a string or a non-empty collection is written."""
+    kind = type(data)
+    if kind is int:
+        return str(data)
+    if kind is bool:
+        return "true" if data else "false"
+    if data is None:
+        return "null"
+    if kind is float:
+        return _represent.represent_float(data).value
+    if kind is dict or kind is list:  # empty, as a flow collection
+        return "{}" if kind is dict else "[]"
+    raise RepresenterError("cannot represent an object", data)
+
+
+# the first characters that keep a string from being written plain
+_INDICATORS = frozenset("#,[]{}&*!|>'\"%@` ")
+# the first and the last line break of each run of them
+_RUN_START, _RUN_END = re.compile(r"(?<!\n)\n"), re.compile(r"\n(?!\n)")
+
+
+def _text(table: dict, s: str, indent: str) -> str:
+    """How ``s`` is written, remembered in ``table``; ``indent`` starts its later lines.
+
+    libyaml writes a string plain when it is one line of printable ASCII whose
+    plain form reads back as that string, else single-quoted when it is lines
+    of printable ASCII with no space next to a line break, else double-quoted.
+    """
+    text = table.get(s)
+    if text is not None:
+        return text
+    if s.isascii() and s.isprintable():
+        text = s if _plain(s) else "'" + s.replace("'", "''") + "'"
+    elif s.isascii() and s.replace("\n", "").isprintable() and " \n" not in s and "\n " not in s:
+        # a run of line breaks is written with one break more, as a lone one
+        # would read back as a space, then the indentation; the text depends
+        # on the indentation, so it is remembered with it
+        key = (s, indent)
+        text = table.get(key)
+        if text is None:
+            body = _RUN_START.sub("\n\n", s.replace("'", "''"))
+            body = _RUN_END.sub("\n" + indent, body)
+            text = table[key] = f"'{body}'"
+        return text
+    else:
+        text = _double(s)
+    table[s] = text
+    return text
+
+
+def _plain(s: str) -> bool:
+    """Whether libyaml writes ``s``, one line of printable ASCII, plain."""
+    if not s or s[0] in _INDICATORS or s[-1] in " :" or s.startswith(("---", "...")):
+        return False
+    if s[0] in "?-" and s[1:2] in ("", " "):  # an indicator followed by a space or the end
+        return False
+    return ": " not in s and " #" not in s and _plain_tag(s) == _STR_TAG
+
+
+def _escape(char: str) -> str:
+    code = ord(char)
+    if code <= 0xFF:
+        return f"\\x{code:02X}"
+    return f"\\u{code:04X}" if code <= 0xFFFF else f"\\U{code:08X}"
+
+
+# what a double-quoted string writes for each character it escapes besides
+# '\\', '"' and a line break: the other ASCII control characters and, as no
+# output is Unicode, every character past ASCII
+_ESCAPES = {code: _escape(chr(code)) for code in (*range(0x20), 0x7F)}
+_ESCAPES.update({ord(char): "\\" + name for char, name in (
+    ("\0", "0"), ("\a", "a"), ("\b", "b"), ("\t", "t"), ("\v", "v"), ("\f", "f"), ("\r", "r"),
+    ("\x1b", "e"), ("\x85", "N"), ("\xa0", "_"), ("\u2028", "L"), ("\u2029", "P"),
+)})
+
+
+def _double(s: str) -> str:
+    text = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    if not (text.isascii() and text.isprintable()):
+        # one table entry per distinct character past ASCII, not a call per match
+        text = text.translate({**{ord(c): _escape(c) for c in set(text) if not c.isascii()},
+                               **_ESCAPES})
+    return f'"{text}"'

@@ -48,6 +48,16 @@ def test_generate_compose(tmp_path, capsys):
     assert f"wrote {out / 'compose.yml'}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("output, root", [("./x/", "x"), (".", ".")])
+def test_wrote_lines_name_each_file_as_pathlib_joins_it(tmp_path, monkeypatch, capsys, output, root):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", FIG4, "--target", "k8s", "--output", output]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(lines) == sorted(f"wrote {Path(output) / rel}" for rel in _files(tmp_path / root))
+    assert lines[0] == ("wrote x/manifests/" if root == "x" else "wrote manifests/") + (
+        "frontend-configmap.yaml")
+
+
 def test_generate_compose_v6_ioam_tracing(tmp_path):
     out = tmp_path / "out"
     argv = ["generate", FIG4, "--ipv6", "--ioam", "--tracing", "--output", str(out)]

@@ -1,7 +1,10 @@
-"""The libyaml and the pure-Python YAML backends load and write the same thing.
+"""The libyaml and the pure-Python YAML backends load the same thing, and the
+writer writes what ``yaml.dump`` writes.
 
-Each check runs once with the backend ``topoforge.yamlio`` chose and once with
-PyYAML's pure-Python classes patched in, and compares the results.
+Each load check runs once with the backend ``topoforge.yamlio`` chose and once
+with PyYAML's pure-Python loader patched in, and compares the results.  Each
+dump check compares the writer's text with ``yaml.dump`` through libyaml's
+``CSafeDumper``, when PyYAML was built with it, and through ``SafeDumper``.
 """
 
 import gc
@@ -18,16 +21,19 @@ from hypothesis import strategies as st
 
 import topoforge as tf
 from topoforge import cli, yamlio
-from topoforge.deploy import GenerationOptions, plan_deployment
+from topoforge.deploy import GenerationOptions, plan_deployment, runtime_config_json
 from topoforge.errors import ConfigSyntaxError, SchemaError, TopoforgeError
+from topoforge.parser import config_to_dict
 
-from conftest import chain_config, random_topology_text
+from conftest import breadth_config, chain_config, random_topology_text
 
 DATA = Path(__file__).parent / "data"
 TOPOLOGIES = Path(__file__).parent.parent / "topologies"
 SHOP = TOPOLOGIES / "shop_demo.yml"
 BENCH = Path(__file__).parent.parent / "bench"
 ALL_FLAGS = dict(family="v6", scheme="https", tracing=True, ioam=True)
+DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if yaml.__with_libyaml__ else [])
+WIDE = 1 << 30  # a line width that no test document reaches, so yaml.dump folds nothing
 
 
 class _PureLoader(yaml.SafeLoader):
@@ -38,29 +44,59 @@ class _PureLoader(yaml.SafeLoader):
         super().__init__(stream)
 
 
-class _PureDumper(yaml.SafeDumper):
-    used = 0
-
-    def __init__(self, *args, **kwargs):
-        _PureDumper.used += 1
-        super().__init__(*args, **kwargs)
-
-
 @pytest.fixture
 def both(monkeypatch):
-    """Call ``fn`` under the chosen backend, then under the pure-Python one."""
+    """Call ``fn`` under the chosen loader, then under the pure-Python one."""
 
     def run(fn):
         chosen = fn()
-        _PureLoader.used = _PureDumper.used = 0
+        _PureLoader.used = 0
         with monkeypatch.context() as m:
             m.setattr(yamlio, "Loader", _PureLoader)
-            m.setattr(yamlio, "Dumper", _PureDumper)
             pure = fn()
-        assert _PureLoader.used or _PureDumper.used, "pure-Python backend not used"
+        assert _PureLoader.used, "pure-Python loader not used"
         return chosen, pure
 
     return run
+
+
+def _yaml_dump(doc, dumper) -> str:
+    return yaml.dump(doc, Dumper=dumper, sort_keys=False, default_flow_style=False, width=WIDE)
+
+
+def _all_keys(doc):
+    """Every mapping key in ``doc``, at any depth."""
+    if type(doc) is dict:
+        yield from doc
+        doc = list(doc.values())
+    if type(doc) is list:
+        for value in doc:
+            yield from _all_keys(value)
+
+
+def _pure_differs(doc) -> bool:
+    """Whether PyYAML's pure-Python emitter may write ``doc`` otherwise than libyaml's.
+
+    It ends a document that is one plain scalar with "...".  It writes a key
+    after "? " when the key is empty or 128 characters long, where libyaml
+    writes it so past 128 UTF-8 bytes; and not when it holds "\r", which
+    libyaml takes as a line break.
+    """
+    if type(doc) is not dict and type(doc) is not list:
+        return True
+    texts = map(str, _all_keys(doc))
+    return any(not t or "\r" in t or len(t) >= 128 or len(t.encode()) > 128 for t in texts)
+
+
+def _assert_dumps_as_yaml_does(docs):
+    """``dump_each(docs)`` and ``dump`` of each write what ``yaml.dump`` writes."""
+    texts = yamlio.dump_each(docs)
+    assert texts == [yamlio.dump(doc) for doc in docs]
+    for doc, text in zip(docs, texts):
+        for dumper in DUMPERS:
+            if dumper is yaml.SafeDumper and _pure_differs(doc):
+                continue
+            assert text == _yaml_dump(doc, dumper), dumper.__name__
 
 
 def _syntax_error_line(text: str) -> int:
@@ -70,10 +106,7 @@ def _syntax_error_line(text: str) -> int:
 
 
 def test_libyaml_chosen_when_installed(monkeypatch):
-    if yaml.__with_libyaml__:
-        assert (yamlio.Loader, yamlio.Dumper) == (yaml.CSafeLoader, yaml.CSafeDumper)
-    else:
-        assert (yamlio.Loader, yamlio.Dumper) == (yaml.SafeLoader, yaml.SafeDumper)
+    assert yamlio.Loader is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
     loaders = []
     parse = yaml.parse
     monkeypatch.setattr(yaml, "parse", lambda text, Loader: loaders.append(Loader) or parse(text, Loader))
@@ -81,21 +114,61 @@ def test_libyaml_chosen_when_installed(monkeypatch):
     assert loaders == [yamlio.Loader]
 
 
-def test_fig4_compose_golden(both, fig4_topology):
-    _np, plan = plan_deployment(fig4_topology, GenerationOptions())
+def test_dump_builds_no_events_and_calls_no_emitter(monkeypatch):
+    def emit(*args, **kwargs):
+        raise AssertionError("the PyYAML emitter called")
+
+    for name in ("emit", "serialize", "dump"):
+        monkeypatch.setattr(yaml, name, emit)
+    for name in ("ScalarEvent", "MappingStartEvent", "SequenceStartEvent"):
+        monkeypatch.setattr(yaml.events, name, emit)
+    assert yamlio.dump_each([{"a": ["x", 1, {}]}, "b"]) == ["a:\n- x\n- 1\n- {}\n", "b\n"]
+
+
+def test_fig4_compose_golden(both, fig4_text):
+    topologies = both(lambda: tf.validate(tf.parse_config(fig4_text)))
     golden = (DATA / "compose_fig4.yml").read_text()
-    assert both(lambda: dict(tf.emit_compose(plan))["compose.yml"]) == (golden, golden)
+    for topology in topologies:
+        _np, plan = plan_deployment(topology, GenerationOptions())
+        assert dict(tf.emit_compose(plan))["compose.yml"] == golden
+
+
+def _emitted_documents(monkeypatch, emit, plan) -> list:
+    """The documents that ``emit`` hands to ``yamlio.dump_each``."""
+    docs = []
+    dump_each = yamlio.dump_each
+    with monkeypatch.context() as m:
+        m.setattr(yamlio, "dump_each", lambda each: dump_each(docs.extend(each) or docs))
+        emit(plan)
+    return docs
 
 
 @pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
-def test_k8s_manifests_all_options(both, path):
-    topology = tf.validate(tf.parse_config(path.read_text()))
-    _np, plan = plan_deployment(topology, GenerationOptions(**ALL_FLAGS))
-    chosen, pure = both(lambda: tf.emit_k8s(plan))
-    assert chosen == pure
+def test_k8s_manifests_all_options(both, monkeypatch, path):
+    text = path.read_text()
+    for topology in both(lambda: tf.validate(tf.parse_config(text))):
+        _np, plan = plan_deployment(topology, GenerationOptions(**ALL_FLAGS))
+        manifests = tf.emit_k8s(plan)
+        docs = _emitted_documents(monkeypatch, tf.emit_k8s, plan)
+        assert [text for _rel, text in manifests] == yamlio.dump_each(docs)
+        _assert_dumps_as_yaml_does(docs)
     # no scalar is folded: the runtime config sits on one line of its manifest
-    configmap = dict(chosen)["manifests/frontend-configmap.yaml"]
+    configmap = dict(manifests)["manifests/frontend-configmap.yaml"]
     assert any(line.startswith("  config.json: ") for line in configmap.splitlines())
+
+
+def test_k8s_config_json_is_never_folded():
+    # libyaml folds a scalar past column 100,000 wherever its line width sits;
+    # the front's config.json here is a double-quoted line of 143,098 columns
+    topology = tf.validate(tf.parse_config(breadth_config(800)))
+    _np, plan = plan_deployment(topology, GenerationOptions(family="v6"))
+    front = next(c for c in plan.containers if c.name == "front")
+    manifest = dict(tf.emit_k8s(plan))["manifests/front-configmap.yaml"]
+    line = next(line for line in manifest.splitlines() if line.startswith("  config.json: "))
+    assert len(line) == 143_098
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader) if yaml.__with_libyaml__ else (yaml.SafeLoader,):
+        doc = yaml.load(manifest, Loader=loader)
+        assert doc["data"]["config.json"] == runtime_config_json(front)
 
 
 @pytest.mark.parametrize("path", [DATA / "fig4.yml", SHOP], ids=["fig4", "shop_demo"])
@@ -103,8 +176,9 @@ def test_parse_and_serialize_config(both, path):
     text = path.read_text()
     cfg, pure_cfg = both(lambda: tf.parse_config(text))
     assert cfg == pure_cfg
-    doc, pure_doc = both(lambda: tf.serialize_config(cfg))
-    assert doc == pure_doc
+    doc = tf.serialize_config(cfg)
+    for dumper in DUMPERS:
+        assert doc == _yaml_dump(config_to_dict(cfg), dumper)
     assert both(lambda: tf.parse_config(doc)) == (cfg, cfg)
 
 
@@ -113,8 +187,9 @@ def test_random_configs(both, seed):
     text = random_topology_text(random.Random(seed))
     cfg, pure_cfg = both(lambda: tf.parse_config(text))
     assert cfg == pure_cfg
-    doc, pure_doc = both(lambda: tf.serialize_config(cfg))
-    assert doc == pure_doc
+    doc = tf.serialize_config(cfg)
+    for dumper in DUMPERS:
+        assert doc == _yaml_dump(config_to_dict(cfg), dumper)
 
 
 def test_duplicate_key_line(both):
@@ -161,22 +236,47 @@ _documents = st.recursive(
 )
 
 
-# ``both`` undoes its patch after every call, so it can serve many examples
-@settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
+@settings(max_examples=150, deadline=None)
 @given(_documents)
-def test_dump_writes_what_yaml_dump_writes(both, doc):
-    def dumps():
-        expected = yaml.dump(
-            doc, Dumper=yamlio.Dumper, sort_keys=False, default_flow_style=False,
-            width=yamlio.WIDTH,
-        )
-        return yamlio.dump(doc), expected
+def test_dump_writes_what_yaml_dump_writes(doc):
+    _assert_dumps_as_yaml_does([doc, doc])
 
-    chosen, pure = both(dumps)
-    assert chosen[0] == chosen[1]
-    assert pure[0] == pure[1]
+
+# what libyaml's CSafeDumper writes where its rules turn on a length, a line
+# break or a character: simple keys are at most 128 UTF-8 bytes and one line,
+# a longer or multi-line key is written after "? " and its value after ": "
+LIBYAML_CASES = {
+    "key of 128 bytes": ({"x" * 128: 1}, "x" * 128 + ": 1\n"),
+    "key of 129 bytes": ({"x" * 129: 1}, "? " + "x" * 129 + "\n: 1\n"),
+    "key of 64 two-byte characters": ({"\xe9" * 64: 1}, '"' + "\\xE9" * 64 + '": 1\n'),
+    "key of 65 two-byte characters": ({"\xe9" * 65: 1}, '? "' + "\\xE9" * 65 + '"\n: 1\n'),
+    "int key of 130 digits": ({int("9" * 130): 1}, "? " + "9" * 130 + "\n: 1\n"),
+    "multi-line key, scalar value": ({"a\nb": "v"}, "? 'a\n\n  b'\n: v\n"),
+    "multi-line key, mapping value": (
+        {"a\nb": {"k": "v", "l": [1]}}, "? 'a\n\n  b'\n: k: v\n  l:\n  - 1\n"),
+    "multi-line key, sequence value": (
+        {"a\nb": [1, {"k": "v"}]}, "? 'a\n\n  b'\n: - 1\n  - k: v\n"),
+    "multi-line key, empty mapping": ({"a\nb": {}}, "? 'a\n\n  b'\n: {}\n"),
+    "multi-line key, empty sequence": ({"a\nb": []}, "? 'a\n\n  b'\n: []\n"),
+    "explicit key in a sequence item": (
+        [{"c": 1, "a\rb": [2, 3]}], '- c: 1\n  ? "a\\rb"\n  : - 2\n    - 3\n'),
+    "explicit keys nested": (
+        {"k": {"a\nb": {"c\nd": 1}}}, "k:\n  ? 'a\n\n    b'\n  : ? 'c\n\n      d'\n    : 1\n"),
+    "indicators and breaks": (
+        ["-", "- x", "a:", "...", "...x", "---x", "a #b", "\x85", "\u2028", "\xe9", "end\n", "\n"],
+        "- '-'\n- '- x'\n- 'a:'\n- '...'\n- '...x'\n- '---x'\n- 'a #b'\n- \"\\N\"\n"
+        "- \"\\L\"\n- \"\\xE9\"\n- 'end\n\n  '\n- '\n\n  '\n",
+    ),
+    "a plain scalar alone": ("plain", "plain\n"),
+}
+
+
+@pytest.mark.parametrize("doc, text", LIBYAML_CASES.values(), ids=LIBYAML_CASES.keys())
+def test_dump_writes_what_libyaml_writes(doc, text):
+    assert yamlio.dump(doc) == text
+    if yaml.__with_libyaml__:
+        assert _yaml_dump(doc, yaml.CSafeDumper) == text
+    _assert_dumps_as_yaml_does([doc])
 
 
 def test_dump_rejects_what_yaml_cannot_represent():
@@ -190,7 +290,8 @@ def test_shared_sub_objects_are_written_in_full():
 
 
 def test_dump_memory_stays_near_its_output(monkeypatch):
-    # dump streams events into the emitter: no node tree, no list of events
+    # dump writes each line as references to its pieces, most of them the
+    # document's own strings and the texts it has resolved, and joins them once
     topology = tf.validate(tf.parse_config(chain_config(1000)))
     _np, plan = plan_deployment(topology, GenerationOptions(tracing=True))
     docs = []
