@@ -169,9 +169,27 @@ def dump_each(docs) -> list[str]:
 def _write(doc, table: dict, keys: dict) -> str:
     if type(doc) is str:  # a root scalar's later lines are indented too
         return _text(table, doc, "  ") + "\n"
-    out: list[str] = []
+    out = _Pieces()
     _item(out, doc, "", "", table, keys)
-    return "".join(out)
+    out.flush()
+    return "".join(out.chunks)
+
+
+# a piece costs a pointer, about what a piece's text costs, so the pieces are
+# joined into a chunk once a mapping entry leaves more than this many
+_PIECES_PER_CHUNK = 4096
+
+
+class _Pieces(list):
+    """The pieces of the text being written, and the chunks joined so far."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks: list[str] = []
+
+    def flush(self):
+        self.chunks.append("".join(self))
+        self.clear()
 
 
 # A collection's keys or dashes sit at column len(pad).  Its first line starts
@@ -209,6 +227,8 @@ def _mapping(out: list, data: dict, pad: str, first: str, table: dict, keys: dic
         else:
             out += prefix, k, ": ", _scalar(value), "\n"
         prefix = pad
+        if len(out) > _PIECES_PER_CHUNK:
+            out.flush()
 
 
 def _sequence(out: list, data: list, pad: str, first: str, table: dict, keys: dict):
@@ -294,15 +314,10 @@ def _text(table: dict, s: str, indent: str) -> str:
         text = s if _plain(s) else "'" + s.replace("'", "''") + "'"
     elif s.isascii() and s.replace("\n", "").isprintable() and " \n" not in s and "\n " not in s:
         # a run of line breaks is written with one break more, as a lone one
-        # would read back as a space, then the indentation; the text depends
-        # on the indentation, so it is remembered with it
-        key = (s, indent)
-        text = table.get(key)
-        if text is None:
-            body = _RUN_START.sub("\n\n", s.replace("'", "''"))
-            body = _RUN_END.sub("\n" + indent, body)
-            text = table[key] = f"'{body}'"
-        return text
+        # would read back as a space, then the indentation; as the text
+        # depends on the indentation, it is not remembered
+        body = _RUN_START.sub("\n\n", s.replace("'", "''"))
+        return "'" + _RUN_END.sub("\n" + indent, body) + "'"
     else:
         text = _double(s)
     table[s] = text

@@ -279,6 +279,12 @@ def test_dump_writes_what_libyaml_writes(doc, text):
     _assert_dumps_as_yaml_does([doc])
 
 
+def test_long_documents_are_joined_in_chunks():
+    # 12,001 lines, written as 40,003 pieces and joined a few thousand at a time
+    doc = {"services": {f"s{i}": {"ports": [i, "80:80"], "env": {"A": "b c"}} for i in range(2000)}}
+    _assert_dumps_as_yaml_does([doc])
+
+
 def test_dump_rejects_what_yaml_cannot_represent():
     with pytest.raises(yaml.representer.RepresenterError):
         yamlio.dump({"a": [1, (2, 3)]})
