@@ -122,6 +122,7 @@ def test_dump_builds_no_events_and_calls_no_emitter(monkeypatch):
         monkeypatch.setattr(yaml, name, emit)
     for name in ("ScalarEvent", "MappingStartEvent", "SequenceStartEvent"):
         monkeypatch.setattr(yaml.events, name, emit)
+        monkeypatch.setattr(yamlio, name, emit)
     assert yamlio.dump_each([{"a": ["x", 1, {}]}, "b"]) == ["a:\n- x\n- 1\n- {}\n", "b\n"]
 
 
@@ -137,8 +138,13 @@ def _emitted_documents(monkeypatch, emit, plan) -> list:
     """The documents that ``emit`` hands to ``yamlio.dump_each``."""
     docs = []
     dump_each = yamlio.dump_each
+
+    def keep(each):
+        docs.extend(each)
+        return dump_each(docs)
+
     with monkeypatch.context() as m:
-        m.setattr(yamlio, "dump_each", lambda each: dump_each(docs.extend(each) or docs))
+        m.setattr(yamlio, "dump_each", keep)
         emit(plan)
     return docs
 
@@ -150,7 +156,7 @@ def test_k8s_manifests_all_options(both, monkeypatch, path):
         _np, plan = plan_deployment(topology, GenerationOptions(**ALL_FLAGS))
         manifests = tf.emit_k8s(plan)
         docs = _emitted_documents(monkeypatch, tf.emit_k8s, plan)
-        assert [text for _rel, text in manifests] == yamlio.dump_each(docs)
+        assert [body for _rel, body in manifests] == yamlio.dump_each(docs)
         _assert_dumps_as_yaml_does(docs)
     # no scalar is folded: the runtime config sits on one line of its manifest
     configmap = dict(manifests)["manifests/frontend-configmap.yaml"]
@@ -158,8 +164,8 @@ def test_k8s_manifests_all_options(both, monkeypatch, path):
 
 
 def test_k8s_config_json_is_never_folded():
-    # libyaml folds a scalar past column 100,000 wherever its line width sits;
-    # the front's config.json here is a double-quoted line of 143,098 columns
+    # no line is folded, however long: the front's config.json here is one
+    # double-quoted line of 143,098 columns
     topology = tf.validate(tf.parse_config(breadth_config(800)))
     _np, plan = plan_deployment(topology, GenerationOptions(family="v6"))
     front = next(c for c in plan.containers if c.name == "front")
@@ -296,8 +302,8 @@ def test_shared_sub_objects_are_written_in_full():
 
 
 def test_dump_memory_stays_near_its_output(monkeypatch):
-    # dump writes each line as references to its pieces, most of them the
-    # document's own strings and the texts it has resolved, and joins them once
+    # dump keeps each line as references to its pieces, most of them strings
+    # that exist already, and joins the pieces a few thousand at a time
     topology = tf.validate(tf.parse_config(chain_config(1000)))
     _np, plan = plan_deployment(topology, GenerationOptions(tracing=True))
     docs = []
